@@ -61,7 +61,6 @@ from .units import (
     Quantity,
     UnknownUnitError,
     atoms_in_focal_volume,
-    convert,
     intensity_to_field,
     number_density,
     photon_flux,

@@ -29,6 +29,9 @@ from .registry import SpeciesNotFound, default_registry
 from .reporting import (
     Scenario,
     SchemaError,
+    _write_correlation,
+    _write_csv,
+    _write_theta_curve,
     bundled_scenario_path,
     repro_report,
     run_scenario,
@@ -39,8 +42,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_ACCEPTANCE = 4
-
-_FLOAT_FMT = "%.12g"
 
 
 def _out_path(name: str | None) -> Path | None:
@@ -54,22 +55,12 @@ def _out_path(name: str | None) -> Path | None:
     return path
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            _FLOAT_FMT % v if isinstance(v, float) else str(v) for v in row
-        ))
-    path.write_text("\n".join(lines) + "\n")
-
-
 def _provider(species_name: str, kind: str):
     species = default_registry().species(species_name)
-    if kind == "pole":
-        return spc.provider_pole(species)
-    if kind == "flat":
-        return spc.provider_flat(species)
-    raise SchemaError(f"unknown provider {kind!r}; use 'pole' or 'flat'")
+    if kind not in spc.PROVIDERS:
+        raise SchemaError(f"unknown provider {kind!r}; use "
+                          f"{' or '.join(map(repr, spc.PROVIDERS))}")
+    return spc.PROVIDERS[kind](species)
 
 
 def _cmd_theta(args) -> int:
@@ -89,8 +80,7 @@ def _cmd_theta_curve(args) -> int:
     ratios = np.geomspace(args.min, args.max, args.points)
     rows = theta_curve(ratios, rel_tol=args.rel_tol)
     path = _out_path(args.out)
-    _write_csv(path, ["ratio", "theta", "method", "stderr"],
-               [(r["ratio"], r["theta"], r["method"], r["stderr"]) for r in rows])
+    _write_theta_curve(path, rows)
     print(f"wrote {path} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -111,10 +101,7 @@ def _cmd_correlation(args) -> int:
     spec = spc.spectral_amplitude(provider, n_points=args.n_omega)
     corr = spc.correlation_function(spec, t_max_au=args.tmax_au, n_t=args.n_t)
     path = _out_path(args.out)
-    _write_csv(path, ["t_au", "t_s", "re", "im", "abs"],
-               zip(corr.t_au.tolist(), corr.t_s.tolist(),
-                   corr.values.real.tolist(), corr.values.imag.tolist(),
-                   np.abs(corr.values).tolist()))
+    _write_correlation(path, corr)
     ct = spc.correlation_time(corr)
     print(f"wrote {path}; correlation time = {ct.width_au:.6g} a.u. "
           f"= {ct.width.value:.6g} s")
@@ -132,17 +119,7 @@ def _cmd_rates(args) -> int:
     scenario = (Scenario.from_file(args.config) if args.config
                 else Scenario.from_file(bundled_scenario_path()))
     species = default_registry().species(scenario.species)
-    config = scenario.config(args.scheme)
-    if args.scheme == "narrowband-4photon":
-        report = sch.biphoton_rate_narrowband(config, species)
-    elif args.scheme == "broadband-4photon":
-        report = sch.four_photon_rate_broadband(config, species)
-    elif args.scheme == "sequential":
-        report = sch.biphoton_rate_sequential(config, species)
-    elif args.scheme == "scrap":
-        report = sch.scrap_biphoton_rate(config, species)
-    else:
-        report = sch.etpa_ion_rate(config)[1]
+    report = sch.SCHEME_RUNNERS[args.scheme](scenario.config(args.scheme), species)
     text = report.to_json()
     if args.out:
         path = _out_path(args.out)

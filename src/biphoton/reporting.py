@@ -25,8 +25,6 @@ from dataclasses import dataclass, asdict
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from . import schemes as sch
 from . import spectrum as spc
 from .cavity import (
@@ -154,8 +152,9 @@ class Scenario:
         _check_keys(spectrum, {"provider": "str", "n_omega": "int",
                                "t_max_au": "number", "n_t": "int"}, "$.spectrum")
         provider = spectrum.get("provider", "pole")
-        if provider not in ("pole", "flat"):
-            raise SchemaError(f"$.spectrum.provider: must be 'pole' or 'flat', "
+        if provider not in spc.PROVIDERS:
+            raise SchemaError(f"$.spectrum.provider: must be "
+                              f"{' or '.join(map(repr, spc.PROVIDERS))}, "
                               f"got {provider!r}")
         schemes = raw.get("schemes", {})
         if not isinstance(schemes, dict):
@@ -274,11 +273,30 @@ class ReproTable:
         return "\n".join(lines)
 
 
+def _correlation(scenario: Scenario, provider) -> spc.CorrelationSeries:
+    spec = spc.spectral_amplitude(provider, n_points=scenario.n_omega)
+    return spc.correlation_function(spec, t_max_au=scenario.t_max_au,
+                                    n_t=scenario.n_t)
+
+
+def _scheme_reports(scenario: Scenario, he) -> dict[str, sch.RateReport]:
+    return {scheme: run(scenario.config(scheme), he)
+            for scheme, run in sch.SCHEME_RUNNERS.items()}
+
+
 def repro_report(scenario: Scenario | None = None) -> ReproTable:
     """Recompute every quoted estimate and tabulate pass/fail per row."""
     if scenario is None:
         scenario = Scenario.from_file(bundled_scenario_path())
     he = default_registry().species(scenario.species)
+    corr = _correlation(scenario, spc.provider_pole(he))
+    return _repro_table(scenario, he, corr, _scheme_reports(scenario, he))
+
+
+def _repro_table(scenario: Scenario, he, corr: spc.CorrelationSeries,
+                 reports: dict[str, sch.RateReport]) -> ReproTable:
+    """Rows of the reproduction table; ``corr`` is the pole-chain correlation
+    and ``reports`` the scheme reports, both computed from ``scenario``."""
     rows: list[ReproRow] = []
 
     # --- cavity geometry
@@ -341,9 +359,6 @@ def repro_report(scenario: Scenario | None = None) -> ReproTable:
     rows.append(_row("ne_rate", "Z-scaled two-photon rate at Z=10",
                      1e7, 1.0 / ne.lifetime_2s.to("s").value,
                      "order-of-magnitude", 10.0))
-    spec = spc.spectral_amplitude(pole, n_points=scenario.n_omega)
-    corr = spc.correlation_function(spec, t_max_au=scenario.t_max_au,
-                                    n_t=scenario.n_t)
     ct = spc.correlation_time(corr)
     rows.append(_row("correlation_time", "pair correlation time (s)",
                      1.93e-16, ct.width.value, "exact-formula", 0.25))
@@ -361,7 +376,7 @@ def repro_report(scenario: Scenario | None = None) -> ReproTable:
     rows.append(_row("broadband_rate", "broadband pair generation rate (1/s)",
                      1e11, chained_rate * overlap, "order-of-magnitude", 10.0,
                      note="narrowband row x natural linewidth / bandwidth"))
-    rep_seq = sch.biphoton_rate_sequential(scenario.config("sequential"), he)
+    rep_seq = reports["sequential"]
     rows.append(_row("sequential_rate", "sequential-scheme pair rate (1/s)",
                      3.6e13, rep_seq.final_rate.value, "order-of-magnitude", 3.0))
     rows.append(_row("steady_fraction", "steady-state excited fraction",
@@ -374,14 +389,14 @@ def repro_report(scenario: Scenario | None = None) -> ReproTable:
                      "shape-only", 0.0, threshold=True,
                      note=f"exponents {scrap.exponent:.3g} (ramp) / "
                           f"{scrap.exponent_other_window:.3g} (centered)"))
-    rep_scrap = sch.scrap_biphoton_rate(cfg_s, he)
     rows.append(_row("scrap_rate", "SCRAP pair generation rate (1/s)",
-                     1e16, rep_scrap.final_rate.value, "order-of-magnitude", 3.0))
+                     1e16, reports["scrap"].final_rate.value,
+                     "order-of-magnitude", 3.0))
 
     # --- ETPA
-    res_etpa, _ = sch.etpa_ion_rate(scenario.config("etpa"))
     rows.append(_row("sigma_e", "entangled TPA cross-section (cm^2)",
-                     1e-29, res_etpa.sigma_e_cm2, "exact-formula", 0.05,
+                     1e-29, reports["etpa"].steps["sigma_e"].value,
+                     "exact-formula", 0.05,
                      note="sigma2/(A_e*T_e) with the stated inputs gives "
                           "1e-27; the quoted 1e-29 is not reproducible from "
                           "the printed formula"))
@@ -422,54 +437,52 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _write_theta_curve(path: Path, curve: list[dict]) -> None:
+    _write_csv(path, ["ratio", "theta", "method", "stderr"],
+               [(r["ratio"], r["theta"], r["method"], r["stderr"]) for r in curve])
+
+
+def _write_correlation(path: Path, corr: spc.CorrelationSeries) -> None:
+    _write_csv(path, ["t_au", "t_s", "re", "im", "abs"],
+               zip(corr.t_au.tolist(), corr.t_s.tolist(),
+                   corr.values.real.tolist(), corr.values.imag.tolist(),
+                   corr.abs.tolist()))
+
+
 def run_scenario(path, out_dir=None) -> list[Path]:
     """Execute a scenario file and write all artifacts; returns their paths.
 
     Outputs: ``fig_s1.csv`` (geometry-factor curve), ``fig2.csv``
-    (correlation function), one ``rates_<scheme>.json`` per scheme, and
-    ``repro_table.json``.  Outputs are deterministic for a fixed seed.
+    (correlation function of the scenario's provider), one
+    ``rates_<scheme>.json`` per scheme, and ``repro_table.json``.  The run
+    has no random input, so the same scenario file gives the same bytes.
     """
     scenario = Scenario.from_file(path)
     out = Path(out_dir) if out_dir is not None else Path.cwd()
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
-    curve = theta_curve(scenario.ratios, rel_tol=scenario.geometry_rel_tol)
     p = out / "fig_s1.csv"
-    _write_csv(p, ["ratio", "theta", "method", "stderr"],
-               [(r["ratio"], r["theta"], r["method"], r["stderr"]) for r in curve])
+    _write_theta_curve(p, theta_curve(scenario.ratios,
+                                      rel_tol=scenario.geometry_rel_tol))
     written.append(p)
 
+    # the repro rows use the pole chain; fig2.csv shows the scenario's provider
     he = default_registry().species(scenario.species)
-    provider = (spc.provider_pole(he) if scenario.provider == "pole"
-                else spc.provider_flat(he))
-    spec = spc.spectral_amplitude(provider, n_points=scenario.n_omega)
-    corr = spc.correlation_function(spec, t_max_au=scenario.t_max_au,
-                                    n_t=scenario.n_t)
+    corr = _correlation(scenario, spc.provider_pole(he))
+    fig2 = corr if scenario.provider == "pole" else _correlation(
+        scenario, spc.PROVIDERS[scenario.provider](he))
     p = out / "fig2.csv"
-    _write_csv(p, ["t_au", "t_s", "re", "im", "abs"],
-               zip(corr.t_au.tolist(), corr.t_s.tolist(),
-                   corr.values.real.tolist(), corr.values.imag.tolist(),
-                   np.abs(corr.values).tolist()))
+    _write_correlation(p, fig2)
     written.append(p)
 
-    reports = {
-        "narrowband": sch.biphoton_rate_narrowband(
-            scenario.config("narrowband-4photon"), he),
-        "broadband": sch.four_photon_rate_broadband(
-            scenario.config("broadband-4photon"), he),
-        "sequential": sch.biphoton_rate_sequential(
-            scenario.config("sequential"), he),
-        "scrap": sch.scrap_biphoton_rate(scenario.config("scrap"), he),
-        "etpa": sch.etpa_ion_rate(scenario.config("etpa"))[1],
-    }
-    for name, report in reports.items():
-        p = out / f"rates_{name}.json"
+    reports = _scheme_reports(scenario, he)
+    for scheme, report in reports.items():
+        p = out / f"rates_{scheme.split('-')[0]}.json"
         p.write_text(report.to_json() + "\n")
         written.append(p)
 
-    table = repro_report(scenario)
     p = out / "repro_table.json"
-    p.write_text(table.to_json() + "\n")
+    p.write_text(_repro_table(scenario, he, corr, reports).to_json() + "\n")
     written.append(p)
     return written

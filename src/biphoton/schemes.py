@@ -45,6 +45,7 @@ from .units import (
 
 __all__ = [
     "SCHEMES",
+    "SCHEME_RUNNERS",
     "SchemeConfig",
     "ReportEntry",
     "RateReport",
@@ -69,8 +70,6 @@ __all__ = [
     "he_absorber",
     "r_trans",
 ]
-
-SCHEMES = ("narrowband-4photon", "broadband-4photon", "sequential", "scrap", "etpa")
 
 _NEEDS_BANDWIDTH = ("broadband-4photon", "scrap")
 
@@ -542,13 +541,28 @@ def etpa_ion_rate(config: SchemeConfig) -> tuple[EtpaResult, RateReport]:
     return result, report
 
 
-def collection_fraction(solid_angle_fraction: float, n_nodes: int = 128) -> float:
+def _etpa_report(config: SchemeConfig, species: SpeciesData) -> RateReport:
+    return etpa_ion_rate(config)[1]
+
+
+# scheme id -> (config, species) -> RateReport
+SCHEME_RUNNERS = {
+    "narrowband-4photon": biphoton_rate_narrowband,
+    "broadband-4photon": four_photon_rate_broadband,
+    "sequential": biphoton_rate_sequential,
+    "scrap": scrap_biphoton_rate,
+    "etpa": _etpa_report,
+}
+SCHEMES = tuple(SCHEME_RUNNERS)
+
+
+def collection_fraction(solid_angle_fraction: float) -> float:
     """Probability that both photons of a pair fall in one collection cone.
 
     The pair relative-angle density is proportional to 1 + cos^2(theta);
     the double cone integral reduces to (3/(64 pi^2)) * (W_c^2 + Tr(M^2))
     with W_c the cone solid angle and M the cone's direction second moment,
-    evaluated with Gauss-Legendre nodes in cos(theta).
+    whose axial entry is M_zz = 2 pi (1 - cos^3 alpha)/3.
     """
     f = solid_angle_fraction
     if not 0.0 <= f <= 1.0:
@@ -557,10 +571,7 @@ def collection_fraction(solid_angle_fraction: float, n_nodes: int = 128) -> floa
         return 0.0
     cos_alpha = 1.0 - 2.0 * f
     omega_c = 4.0 * math.pi * f
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
-    c = 0.5 * (1.0 - cos_alpha) * x + 0.5 * (1.0 + cos_alpha)
-    wc = math.pi * (1.0 - cos_alpha) * w  # includes the 2*pi azimuth
-    m_zz = float(np.dot(wc, c**2))
+    m_zz = 2.0 * math.pi * (1.0 - cos_alpha**3) / 3.0
     m_xx = (omega_c - m_zz) / 2.0
     tr_m2 = 2.0 * m_xx**2 + m_zz**2
     return 3.0 / (64.0 * math.pi**2) * (omega_c**2 + tr_m2)

@@ -48,6 +48,7 @@ __all__ = [
     "CorrelationTime",
     "provider_flat",
     "provider_pole",
+    "PROVIDERS",
     "hydrogenic_scaled",
     "spectral_amplitude",
     "correlation_function",
@@ -269,6 +270,10 @@ def provider_pole(species: SpeciesData) -> PoleChain:
     if species.f_g2p is None or species.f_2p2s is None:
         raise ValueError(f"{species.name}: oscillator strengths required")
     return PoleChain(species=species)
+
+
+# provider kind named in a scenario file or on the command line -> factory
+PROVIDERS = {"pole": provider_pole, "flat": provider_flat}
 
 
 def hydrogenic_scaled(

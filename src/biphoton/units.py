@@ -26,7 +26,6 @@ __all__ = [
     "Quantity",
     "DimensionError",
     "UnknownUnitError",
-    "convert",
     "intensity_to_field",
     "photon_flux",
     "photon_flux_density",
@@ -201,11 +200,6 @@ class Quantity:
 
     def __repr__(self):
         return f"{self.value:.12g} {self.unit}".rstrip()
-
-
-def convert(q: Quantity, target_unit: str) -> Quantity:
-    """Convert ``q`` to ``target_unit`` (same dimension required)."""
-    return q.to(target_unit)
 
 
 def intensity_to_field(intensity: Quantity) -> Quantity:

@@ -69,6 +69,11 @@ class TestSpectrumAndCorrelation:
         assert code == EXIT_CONFIG
         assert "configuration error" in err
 
+    def test_unknown_provider_is_config_error(self, capsys):
+        code, _, err = run(["lifetime", "--provider", "oracle"], capsys)
+        assert code == EXIT_CONFIG
+        assert "configuration error" in err
+
     def test_lifetime(self, capsys):
         code, out, _ = run(["lifetime"], capsys)
         assert code == EXIT_OK

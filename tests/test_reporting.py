@@ -1,7 +1,12 @@
 import json
+from collections import Counter
 
+import numpy as np
 import pytest
 
+from biphoton import schemes as sch
+from biphoton import spectrum as spc
+from biphoton.registry import species
 from biphoton.reporting import (
     ReproRow,
     ReproTable,
@@ -16,6 +21,27 @@ from biphoton.reporting import (
 @pytest.fixture(scope="module")
 def table():
     return repro_report()
+
+
+@pytest.fixture(scope="module")
+def counted_run(tmp_path_factory):
+    """One run of the bundled scenario, counting the correlation transforms
+    and the calls of each scheme runner."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spc, "correlation_function",
+                   counting("correlation_function", spc.correlation_function))
+        for scheme, run in list(sch.SCHEME_RUNNERS.items()):
+            mp.setitem(sch.SCHEME_RUNNERS, scheme, counting(scheme, run))
+        files = run_scenario(bundled_scenario_path(), tmp_path_factory.mktemp("run"))
+    return files, calls
 
 
 class TestScenarioSchema:
@@ -106,11 +132,9 @@ class TestReproTable:
 
 
 class TestRunScenario:
-    def test_artifacts_and_determinism(self, tmp_path):
-        out1 = tmp_path / "a"
-        out2 = tmp_path / "b"
-        files1 = run_scenario(bundled_scenario_path(), out1)
-        files2 = run_scenario(bundled_scenario_path(), out2)
+    def test_artifacts_and_determinism(self, counted_run, tmp_path):
+        files1, _ = counted_run
+        files2 = run_scenario(bundled_scenario_path(), tmp_path)
         names = sorted(p.name for p in files1)
         assert names == sorted([
             "fig_s1.csv", "fig2.csv", "rates_narrowband.json",
@@ -120,16 +144,58 @@ class TestRunScenario:
         for p1, p2 in zip(files1, files2):
             assert p1.read_bytes() == p2.read_bytes(), p1.name
 
-    def test_csv_headers(self, tmp_path):
-        files = run_scenario(bundled_scenario_path(), tmp_path)
+    def test_csv_headers(self, counted_run):
+        files, _ = counted_run
         by_name = {p.name: p for p in files}
         assert by_name["fig_s1.csv"].read_text().splitlines()[0] == \
             "ratio,theta,method,stderr"
         assert by_name["fig2.csv"].read_text().splitlines()[0] == \
             "t_au,t_s,re,im,abs"
 
-    def test_rates_json_valid(self, tmp_path):
-        files = run_scenario(bundled_scenario_path(), tmp_path)
+    def test_rates_json_valid(self, counted_run):
+        files, _ = counted_run
         for p in files:
             if p.suffix == ".json":
                 json.loads(p.read_text())
+
+    def test_each_stage_runs_once(self, counted_run):
+        _, calls = counted_run
+        assert calls == Counter({"correlation_function": 1,
+                                 **{scheme: 1 for scheme in sch.SCHEMES}})
+
+
+class TestProviderChoice:
+    """The provider picks the correlation in fig2.csv; the repro table uses
+    the pole chain whatever the provider."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        raw = json.loads(bundled_scenario_path().read_text())
+        raw["spectrum"]["n_omega"] = 512
+        out = {}
+        for provider in ("pole", "flat"):
+            raw["spectrum"]["provider"] = provider
+            out_dir = tmp_path_factory.mktemp(provider)
+            path = out_dir / "scenario.json"
+            path.write_text(json.dumps(raw))
+            run_scenario(path, out_dir)
+            out[provider] = out_dir
+        return raw, out
+
+    def test_repro_table_ignores_provider(self, runs):
+        _, out = runs
+        assert (out["flat"] / "repro_table.json").read_bytes() == \
+            (out["pole"] / "repro_table.json").read_bytes()
+
+    def test_flat_fig2_matches_closed_form(self, runs):
+        raw, out = runs
+        spectrum = raw["spectrum"]
+        data = np.loadtxt(out["flat"] / "fig2.csv", delimiter=",", skiprows=1)
+        t = np.linspace(-spectrum["t_max_au"], spectrum["t_max_au"],
+                        spectrum["n_t"] | 1)
+        np.testing.assert_allclose(data[:, 0], t, rtol=1e-11, atol=0)
+        exact = spc.flat_correlation_closed_form(
+            t, species(raw["species"]).delta_eg.au)
+        np.testing.assert_allclose(data[:, 2], exact.real, rtol=0, atol=1e-11)
+        np.testing.assert_allclose(data[:, 3], exact.imag, rtol=0, atol=1e-11)
+        np.testing.assert_allclose(data[:, 4], np.abs(exact), rtol=0, atol=1e-11)

@@ -9,7 +9,6 @@ from biphoton.units import (
     Quantity,
     UnknownUnitError,
     atoms_in_focal_volume,
-    convert,
     intensity_to_field,
     number_density,
     photon_flux,
@@ -19,21 +18,21 @@ from biphoton.units import (
 
 class TestConvert:
     def test_ev_to_hartree(self):
-        q = convert(Quantity(20.62, "eV"), "hartree")
+        q = Quantity(20.62, "eV").to("hartree")
         assert q.value == pytest.approx(20.62 / 27.211386245988, rel=1e-12)
         assert q.value == pytest.approx(0.7578, rel=1e-4)
 
     def test_identity(self):
-        q = convert(Quantity(1.0, "hartree"), "hartree")
+        q = Quantity(1.0, "hartree").to("hartree")
         assert q.value == 1.0
 
     def test_seconds_to_au(self):
-        q = convert(Quantity(1.93e-16, "s"), "au_time")
+        q = Quantity(1.93e-16, "s").to("au_time")
         assert q.value == pytest.approx(7.98, rel=1e-3)
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(DimensionError):
-            convert(Quantity(1.0, "eV"), "s")
+            Quantity(1.0, "eV").to("s")
 
     def test_unknown_unit_raises(self):
         with pytest.raises(UnknownUnitError):
