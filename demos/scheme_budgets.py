@@ -1,37 +1,20 @@
 """Side-by-side pair-generation budgets for every excitation scheme.
 
-Prints the final rate of each scheme at the reference operating point
-(100 um spot, 1 mm path, 1 bar, 240 nm pump at 1e14 W/cm^2), then the
-step-by-step breakdown of the sequential lamp-plus-laser scheme.
+Prints the final rate of each scheme at the reference operating point of the
+bundled scenario (100 um spot, 1 mm path, 1 bar, 240 nm pump at 1e14 W/cm^2),
+then the step-by-step breakdown of the sequential lamp-plus-laser scheme.
 """
 
-from biphoton import (
-    SchemeConfig,
-    biphoton_rate_narrowband,
-    biphoton_rate_sequential,
-    etpa_ion_rate,
-    four_photon_rate_broadband,
-    scrap_biphoton_rate,
-    species,
-)
-from biphoton.units import Quantity
+from biphoton import Scenario, species
+from biphoton.reporting import bundled_scenario_path
+from biphoton.schemes import SCHEME_RUNNERS
 
 
 def main() -> None:
-    he = species("He")
-    reports = {
-        "narrowband-4photon": biphoton_rate_narrowband(
-            SchemeConfig(scheme="narrowband-4photon"), he),
-        "broadband-4photon": four_photon_rate_broadband(
-            SchemeConfig(scheme="broadband-4photon",
-                         bandwidth=Quantity(5e12, "Hz")), he),
-        "sequential": biphoton_rate_sequential(
-            SchemeConfig(scheme="sequential"), he),
-        "scrap": scrap_biphoton_rate(
-            SchemeConfig(scheme="scrap", bandwidth=Quantity(8.8e12, "Hz"),
-                         n_atoms=1e13), he),
-        "etpa": etpa_ion_rate(SchemeConfig(scheme="etpa"))[1],
-    }
+    scenario = Scenario.from_file(bundled_scenario_path())
+    he = species(scenario.species)
+    reports = {scheme: run(scenario.config(scheme), he)
+               for scheme, run in SCHEME_RUNNERS.items()}
     print(f"{'scheme':<20}  {'final rate (1/s)':>16}")
     for name, rep in reports.items():
         print(f"{name:<20}  {rep.final_rate.value:>16.4g}")

@@ -89,21 +89,22 @@ def _check_keys(obj: dict, allowed: dict, path: str):
                 raise SchemaError(f"{path}.{key}: expected a list of numbers")
 
 
-_SCHEME_OVERRIDE_KEYS = {
-    "intensity_wcm2": "number",
-    "bandwidth_hz": "number",
-    "pressure_bar": "number",
-    "temperature_k": "number",
-    "spot_diameter_um": "number",
-    "path_length_mm": "number",
-    "tau_2p_ns": "number",
-    "pulse_duration_fs": "number",
-    "repetition_rate_hz": "number",
-    "excitation_fraction": "number",
-    "n_atoms": "number",
-    "molecules": "number",
-    "photon_rate_hz": "number",
-    "lineshape_factor_au": "number",
+# scheme override key -> (SchemeConfig field, unit of its Quantity or None)
+_SCHEME_OVERRIDES = {
+    "intensity_wcm2": ("intensity", "W/cm^2"),
+    "bandwidth_hz": ("bandwidth", "Hz"),
+    "pressure_bar": ("pressure_bar", None),
+    "temperature_k": ("temperature_k", None),
+    "spot_diameter_um": ("spot_diameter", "um"),
+    "path_length_mm": ("path_length", "mm"),
+    "tau_2p_ns": ("tau_2p", "ns"),
+    "pulse_duration_fs": ("pulse_duration", "fs"),
+    "repetition_rate_hz": ("repetition_rate_hz", None),
+    "excitation_fraction": ("excitation_fraction", None),
+    "n_atoms": ("n_atoms", None),
+    "molecules": ("molecules", None),
+    "photon_rate_hz": ("photon_rate_hz", None),
+    "lineshape_factor_au": ("lineshape_factor_au", None),
 }
 
 
@@ -163,7 +164,8 @@ class Scenario:
             if scheme not in sch.SCHEMES:
                 raise SchemaError(f"$.schemes.{scheme}: unknown scheme; "
                                   f"one of {sch.SCHEMES}")
-            _check_keys(overrides, _SCHEME_OVERRIDE_KEYS, f"$.schemes.{scheme}")
+            _check_keys(overrides, dict.fromkeys(_SCHEME_OVERRIDES, "number"),
+                        f"$.schemes.{scheme}")
         ratios = [float(r) for r in geometry.get(
             "ratios", [1, 1.5, 2, 3, 5, 8, 12, 20, 40, 80, 148])]
         if any(r < 1 for r in ratios):
@@ -182,21 +184,10 @@ class Scenario:
         )
 
     def config(self, scheme: str) -> sch.SchemeConfig:
-        ov = dict(self.scheme_overrides.get(scheme, {}))
         kwargs: dict = {"scheme": scheme}
-        if "intensity_wcm2" in ov:
-            kwargs["intensity"] = Quantity(ov.pop("intensity_wcm2"), "W/cm^2")
-        if "bandwidth_hz" in ov:
-            kwargs["bandwidth"] = Quantity(ov.pop("bandwidth_hz"), "Hz")
-        if "spot_diameter_um" in ov:
-            kwargs["spot_diameter"] = Quantity(ov.pop("spot_diameter_um"), "um")
-        if "path_length_mm" in ov:
-            kwargs["path_length"] = Quantity(ov.pop("path_length_mm"), "mm")
-        if "tau_2p_ns" in ov:
-            kwargs["tau_2p"] = Quantity(ov.pop("tau_2p_ns"), "ns")
-        if "pulse_duration_fs" in ov:
-            kwargs["pulse_duration"] = Quantity(ov.pop("pulse_duration_fs"), "fs")
-        kwargs.update(ov)
+        for key, value in self.scheme_overrides.get(scheme, {}).items():
+            name, unit = _SCHEME_OVERRIDES[key]
+            kwargs[name] = value if unit is None else Quantity(value, unit)
         if scheme == "broadband-4photon":
             kwargs.setdefault("bandwidth", Quantity(5e12, "Hz"))
         if scheme == "scrap":
@@ -273,10 +264,12 @@ class ReproTable:
         return "\n".join(lines)
 
 
-def _correlation(scenario: Scenario, provider) -> spc.CorrelationSeries:
+def _correlation(
+    scenario: Scenario, provider
+) -> tuple[spc.BiphotonSpectrum, spc.CorrelationSeries]:
     spec = spc.spectral_amplitude(provider, n_points=scenario.n_omega)
-    return spc.correlation_function(spec, t_max_au=scenario.t_max_au,
-                                    n_t=scenario.n_t)
+    return spec, spc.correlation_function(spec, t_max_au=scenario.t_max_au,
+                                          n_t=scenario.n_t)
 
 
 def _scheme_reports(scenario: Scenario, he) -> dict[str, sch.RateReport]:
@@ -289,19 +282,24 @@ def repro_report(scenario: Scenario | None = None) -> ReproTable:
     if scenario is None:
         scenario = Scenario.from_file(bundled_scenario_path())
     he = default_registry().species(scenario.species)
-    corr = _correlation(scenario, spc.provider_pole(he))
-    return _repro_table(scenario, he, corr, _scheme_reports(scenario, he))
+    spec, corr = _correlation(scenario, spc.provider_pole(he))
+    return _repro_table(scenario, he, spec, corr, _scheme_reports(scenario, he), {})
 
 
-def _repro_table(scenario: Scenario, he, corr: spc.CorrelationSeries,
-                 reports: dict[str, sch.RateReport]) -> ReproTable:
-    """Rows of the reproduction table; ``corr`` is the pole-chain correlation
-    and ``reports`` the scheme reports, both computed from ``scenario``."""
+def _repro_table(scenario: Scenario, he, spec: spc.BiphotonSpectrum,
+                 corr: spc.CorrelationSeries, reports: dict[str, sch.RateReport],
+                 thetas: dict[float, float]) -> ReproTable:
+    """Rows of the reproduction table, all computed from ``scenario``: ``spec``
+    is the pole-chain spectrum, ``corr`` its correlation, ``reports`` the
+    scheme reports and ``thetas`` maps aspect ratios to Theta already
+    computed; Theta(1) and Theta(148) are computed here if it lacks them."""
     rows: list[ReproRow] = []
 
     # --- cavity geometry
-    th_sphere = theta_factor_quadrature(Spheroid(1.0, 1.0), rel_tol=1e-10)
-    th_148 = theta_factor_quadrature(Spheroid(148.0, 1.0), rel_tol=1e-7)
+    th_sphere, th_148 = (
+        thetas[r] if r in thetas else theta_factor_quadrature(
+            Spheroid(r, 1.0), rel_tol=scenario.geometry_rel_tol)
+        for r in (1.0, 148.0))
     rows.append(_row("theta_sphere", "geometry factor at unit aspect ratio",
                      THETA_SPHERE, th_sphere, "exact-formula", 1e-3))
     rows.append(_row("theta_plateau_ratio",
@@ -350,8 +348,7 @@ def _repro_table(scenario: Scenario, he, corr: spc.CorrelationSeries,
                      1e28, flux240.value, "order-of-magnitude", 3.0))
 
     # --- spectrum / lifetime
-    pole = spc.provider_pole(he)
-    rate_he, _life = spc.two_photon_decay_rate(pole)
+    rate_he, _life = spc._decay_rate(spec)
     rows.append(_row("lifetime_he_rate", "two-photon decay rate of the 2s level",
                      50.8, rate_he.value, "order-of-magnitude", 3.0,
                      note="single-intermediate-state truncation"))
@@ -416,7 +413,7 @@ def _repro_table(scenario: Scenario, he, corr: spc.CorrelationSeries,
                      0.01, sch.collection_fraction(0.1), "exact-formula", 0.20,
                      note="exact pair-angle integral gives 1.259%; the "
                           "quoted 1% is outside the 20% band"))
-    coeff = sch.r_trans(th_sphere, Quantity(1.0, "au_field"), he, pole,
+    coeff = sch.r_trans(th_sphere, Quantity(1.0, "au_field"), he, spec,
                         sch.he_absorber(he)).au
     rows.append(_row("r_trans_coeff", "cavity transfer-rate coefficient (a.u.)",
                      1.91e-25, coeff, "order-of-magnitude", 10.0,
@@ -463,15 +460,15 @@ def run_scenario(path, out_dir=None) -> list[Path]:
     written: list[Path] = []
 
     p = out / "fig_s1.csv"
-    _write_theta_curve(p, theta_curve(scenario.ratios,
-                                      rel_tol=scenario.geometry_rel_tol))
+    curve = theta_curve(scenario.ratios, rel_tol=scenario.geometry_rel_tol)
+    _write_theta_curve(p, curve)
     written.append(p)
 
     # the repro rows use the pole chain; fig2.csv shows the scenario's provider
     he = default_registry().species(scenario.species)
-    corr = _correlation(scenario, spc.provider_pole(he))
+    spec, corr = _correlation(scenario, spc.provider_pole(he))
     fig2 = corr if scenario.provider == "pole" else _correlation(
-        scenario, spc.PROVIDERS[scenario.provider](he))
+        scenario, spc.PROVIDERS[scenario.provider](he))[1]
     p = out / "fig2.csv"
     _write_correlation(p, fig2)
     written.append(p)
@@ -483,6 +480,8 @@ def run_scenario(path, out_dir=None) -> list[Path]:
         written.append(p)
 
     p = out / "repro_table.json"
-    p.write_text(_repro_table(scenario, he, corr, reports).to_json() + "\n")
+    thetas = {row["ratio"]: row["theta"] for row in curve}
+    p.write_text(_repro_table(scenario, he, spec, corr, reports, thetas).to_json()
+                 + "\n")
     written.append(p)
     return written

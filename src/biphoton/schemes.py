@@ -30,7 +30,9 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .registry import SpeciesData
-from .spectrum import DipoleChainProvider, spectral_amplitude
+from .spectrum import BiphotonSpectrum
+# nothing here calls it; perfbench/test_tracing.py traces a call through this binding
+from .spectrum import spectral_amplitude  # noqa: F401
 from .units import (
     AU_TIME_S,
     C_AU,
@@ -51,7 +53,6 @@ __all__ = [
     "RateReport",
     "AbsorberChain",
     "ScrapResult",
-    "EtpaResult",
     "four_photon_rate",
     "four_photon_rabi",
     "absorption_coefficient",
@@ -508,14 +509,7 @@ def scrap_biphoton_rate(config: SchemeConfig, species: SpeciesData) -> RateRepor
     )
 
 
-@dataclass(frozen=True)
-class EtpaResult:
-    sigma_e_cm2: float
-    per_molecule_rate_hz: float
-    ions_per_s: float
-
-
-def etpa_ion_rate(config: SchemeConfig) -> tuple[EtpaResult, RateReport]:
+def etpa_ion_rate(config: SchemeConfig) -> RateReport:
     """ETPA detection budget: sigma_e = sigma2/(A_e T_e), rate per molecule
     sigma_e x (photon rate / A_e), ions/s = per-molecule rate x molecules."""
     if config.scheme != "etpa":
@@ -525,8 +519,7 @@ def etpa_ion_rate(config: SchemeConfig) -> tuple[EtpaResult, RateReport]:
     flux_density = config.photon_rate_hz / config.entanglement_area_cm2
     per_molecule = sigma_e * flux_density
     ions = per_molecule * config.molecules
-    result = EtpaResult(sigma_e, per_molecule, ions)
-    report = RateReport(
+    return RateReport(
         scheme=config.scheme,
         final_rate=ReportEntry(ions, "1/s", "per-molecule rate * molecules"),
         steps={
@@ -538,11 +531,6 @@ def etpa_ion_rate(config: SchemeConfig) -> tuple[EtpaResult, RateReport]:
             "molecules": ReportEntry(config.molecules, "", "input"),
         },
     )
-    return result, report
-
-
-def _etpa_report(config: SchemeConfig, species: SpeciesData) -> RateReport:
-    return etpa_ion_rate(config)[1]
 
 
 # scheme id -> (config, species) -> RateReport
@@ -551,7 +539,7 @@ SCHEME_RUNNERS = {
     "broadband-4photon": four_photon_rate_broadband,
     "sequential": biphoton_rate_sequential,
     "scrap": scrap_biphoton_rate,
-    "etpa": _etpa_report,
+    "etpa": lambda config, species: etpa_ion_rate(config),
 }
 SCHEMES = tuple(SCHEME_RUNNERS)
 
@@ -603,29 +591,28 @@ def r_trans(
     theta_factor: float,
     field: Quantity,
     species: SpeciesData,
-    emitter_provider: DipoleChainProvider,
+    emitter: BiphotonSpectrum,
     absorber: AbsorberChain,
     lineshape_exc_au: float = 1.0,
     lineshape_abs_au: float = 1.0,
-    n_points: int = 2048,
 ) -> Quantity:
     """Coherent excitation-emission-absorption transfer rate in the cavity.
 
     R = 2*pi*L_abs * | Theta * E0^4/(256 c^6) * D4 * L_exc * K |^2 with
     K = integral_0^D [w(D-w)]^3 A(w) S(w) dw over the emission window, where
-    A is the absorber chain and S the emitter chain.  Scales as E0^8 and as
-    Theta^2.
+    A is the absorber chain and S the emitter chain, integrated on the nodes
+    of the sampled ``emitter`` spectrum.  Scales as E0^8 and as Theta^2.
     """
     if species.d4_eg is None:
         raise ValueError(f"{species.name}: four-photon matrix element not available")
-    if abs(emitter_provider.delta_eg_au - species.delta_eg.au) > 1e-9:
+    if abs(emitter.delta_eg_au - species.delta_eg.au) > 1e-9:
         raise ValueError(
-            "emitter provider level gap "
-            f"({emitter_provider.delta_eg_au} a.u.) does not match species "
+            "emitter spectrum level gap "
+            f"({emitter.delta_eg_au} a.u.) does not match species "
             f"{species.name} ({species.delta_eg.au} a.u.)"
         )
     e0 = field.au if field.dimension == "electric-field" else _field_au(field, None)
-    spec = spectral_amplitude(emitter_provider, n_points=n_points)
-    k = float(np.dot(spec.weights_au, spec.amplitude * absorber.chain(spec.omega_au)))
+    k = float(np.dot(emitter.weights_au,
+                     emitter.amplitude * absorber.chain(emitter.omega_au)))
     amp = theta_factor * e0**4 / (256.0 * C_AU**6) * species.d4_eg * lineshape_exc_au * k
     return Quantity(2.0 * math.pi * lineshape_abs_au * amp**2, "au_rate")

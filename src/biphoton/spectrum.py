@@ -463,9 +463,14 @@ def two_photon_decay_rate(
         raise UncalibratedProviderError(
             f"provider {provider.label()!r} is not calibrated in absolute a.u."
         )
-    spec = spectral_amplitude(provider, n_points=n_points)
+    return _decay_rate(spectral_amplitude(provider, n_points=n_points))
+
+
+def _decay_rate(spec: BiphotonSpectrum) -> tuple[Quantity, Quantity]:
+    """Decay rate and lifetime integrated on the nodes of a sampled spectrum;
+    its provider must be calibrated."""
     delta = spec.delta_eg_au
-    s = provider.chain_sum(spec.omega_au)
+    s = spec.provider.chain_sum(spec.omega_au)
     integrand = (spec.omega_au * (delta - spec.omega_au)) ** 3 * s**2
     gamma_au = RATE_PREFACTOR * float(np.dot(spec.weights_au, integrand))
     rate = Quantity(gamma_au / AU_TIME_S, "1/s")

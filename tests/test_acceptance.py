@@ -202,11 +202,11 @@ def test_criterion_5_exact_formula_recomputations():
     # The printed cross-section contradicts its own formula, so sigma_e is
     # checked against the formula evaluated on the printed inputs, and its
     # ratio to the printed 1e-29 against the documented factor of 100.
-    res, _ = etpa_ion_rate(SchemeConfig(scheme="etpa"))
+    sigma_e = etpa_ion_rate(SchemeConfig(scheme="etpa")).steps["sigma_e"].value
     within("sigma_e vs sigma2/(A_e*T_e) of the printed inputs",
-           SIGMA_E_FROM_PRINTED_INPUTS, res.sigma_e_cm2, what="formula")
+           SIGMA_E_FROM_PRINTED_INPUTS, sigma_e, what="formula")
     within("sigma_e / printed 1e-29 (documented factor)", 100.0,
-           res.sigma_e_cm2 / SIGMA_E_PRINTED, what="documented")
+           sigma_e / SIGMA_E_PRINTED, what="documented")
     within("focal-volume atoms", 7.8e13,
            atoms_in_focal_volume(1.0, 293.0, Quantity(100.0, "um"),
                                  Quantity(1.0, "mm")), tol=0.10)
@@ -242,10 +242,10 @@ def test_criterion_6_order_of_magnitude_budgets():
     res = scrap_transfer_probability(cfg_s, HE)
     gate.check(max(res.probability, res.probability_other_window) > 0.99,
                "SCRAP transfer probability <= 0.99")
-    res_e, _ = etpa_ion_rate(SchemeConfig(scheme="etpa"))
-    per_mol = 1e-29 * 1e12 / 1e-8       # from the quoted sigma_e
+    etpa = etpa_ion_rate(SchemeConfig(scheme="etpa")).steps
+    per_mol = 1e-29 * etpa["photon_flux_density"].value   # from the quoted sigma_e
     oom("ETPA per molecule", 1e-9, per_mol)
-    oom("ETPA ions", 1000.0, per_mol * 1e12)
+    oom("ETPA ions", 1000.0, per_mol * etpa["molecules"].value)
     # The quoted ~1% (+/-20%) contradicts the pair-angle integral it comes
     # from, so the fraction is checked against that integral's exact closed
     # form, and its ratio to the quoted 0.01 against the documented 1.2592.

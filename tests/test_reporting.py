@@ -1,9 +1,11 @@
 import json
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from biphoton import cavity
 from biphoton import schemes as sch
 from biphoton import spectrum as spc
 from biphoton.registry import species
@@ -23,11 +25,22 @@ def table():
     return repro_report()
 
 
+def _rebind_everywhere(mp, fn, wrapper):
+    """Replace ``fn`` by ``wrapper`` in its own module and in every biphoton
+    module that imported it."""
+    for name, module in list(sys.modules.items()):
+        if name == fn.__module__ or name.startswith("biphoton"):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    mp.setattr(module, attr, wrapper)
+
+
 @pytest.fixture(scope="module")
 def counted_run(tmp_path_factory):
-    """One run of the bundled scenario, counting the correlation transforms
-    and the calls of each scheme runner."""
-    calls = Counter()
+    """One run of the bundled scenario, counting the correlation transforms,
+    the calls of each scheme runner, the sizes of the Gauss-Legendre rules
+    built and the aspect ratios given to the Theta quadrature."""
+    calls, rule_sizes, theta_ratios = Counter(), Counter(), Counter()
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -35,13 +48,25 @@ def counted_run(tmp_path_factory):
             return fn(*args, **kwargs)
         return wrapper
 
+    build_rule, quadrature = np.polynomial.legendre.leggauss, cavity.theta_factor_quadrature
+
+    def leggauss(deg):
+        rule_sizes[deg] += 1
+        return build_rule(deg)
+
+    def theta_factor_quadrature(s, *args, **kwargs):
+        theta_ratios[s.ratio] += 1
+        return quadrature(s, *args, **kwargs)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spc, "correlation_function",
                    counting("correlation_function", spc.correlation_function))
         for scheme, run in list(sch.SCHEME_RUNNERS.items()):
             mp.setitem(sch.SCHEME_RUNNERS, scheme, counting(scheme, run))
+        _rebind_everywhere(mp, build_rule, leggauss)
+        _rebind_everywhere(mp, quadrature, theta_factor_quadrature)
         files = run_scenario(bundled_scenario_path(), tmp_path_factory.mktemp("run"))
-    return files, calls
+    return files, calls, rule_sizes, theta_ratios
 
 
 class TestScenarioSchema:
@@ -95,6 +120,31 @@ class TestScenarioSchema:
         assert cfg.intensity.value == 2e14
         assert cfg.path_length.to("mm").value == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("key, field, unit", [
+        ("intensity_wcm2", "intensity", "W/cm^2"),
+        ("bandwidth_hz", "bandwidth", "Hz"),
+        ("pressure_bar", "pressure_bar", None),
+        ("temperature_k", "temperature_k", None),
+        ("spot_diameter_um", "spot_diameter", "um"),
+        ("path_length_mm", "path_length", "mm"),
+        ("tau_2p_ns", "tau_2p", "ns"),
+        ("pulse_duration_fs", "pulse_duration", "fs"),
+        ("repetition_rate_hz", "repetition_rate_hz", None),
+        ("excitation_fraction", "excitation_fraction", None),
+        ("n_atoms", "n_atoms", None),
+        ("molecules", "molecules", None),
+        ("photon_rate_hz", "photon_rate_hz", None),
+        ("lineshape_factor_au", "lineshape_factor_au", None),
+    ])
+    def test_every_override_key(self, key, field, unit):
+        value = 0.75    # valid for every key, and no field's default
+        cfg = Scenario.from_dict({"schemes": {"scrap": {key: value}}}).config("scrap")
+        got = getattr(cfg, field)
+        if unit is None:
+            assert got == value
+        else:
+            assert (got.value, got.unit) == (value, unit)
+
 
 class TestReproTable:
     def test_row_count(self, table):
@@ -133,7 +183,7 @@ class TestReproTable:
 
 class TestRunScenario:
     def test_artifacts_and_determinism(self, counted_run, tmp_path):
-        files1, _ = counted_run
+        files1, *_ = counted_run
         files2 = run_scenario(bundled_scenario_path(), tmp_path)
         names = sorted(p.name for p in files1)
         assert names == sorted([
@@ -145,7 +195,7 @@ class TestRunScenario:
             assert p1.read_bytes() == p2.read_bytes(), p1.name
 
     def test_csv_headers(self, counted_run):
-        files, _ = counted_run
+        files, *_ = counted_run
         by_name = {p.name: p for p in files}
         assert by_name["fig_s1.csv"].read_text().splitlines()[0] == \
             "ratio,theta,method,stderr"
@@ -153,15 +203,30 @@ class TestRunScenario:
             "t_au,t_s,re,im,abs"
 
     def test_rates_json_valid(self, counted_run):
-        files, _ = counted_run
+        files, *_ = counted_run
         for p in files:
             if p.suffix == ".json":
                 json.loads(p.read_text())
 
     def test_each_stage_runs_once(self, counted_run):
-        _, calls = counted_run
+        _, calls, *_ = counted_run
         assert calls == Counter({"correlation_function": 1,
                                  **{scheme: 1 for scheme in sch.SCHEMES}})
+
+    def test_one_spectrum_rule(self, counted_run):
+        *_, rule_sizes, _ = counted_run
+        assert rule_sizes[Scenario.from_file(bundled_scenario_path()).n_omega] == 1
+
+    def test_theta_once_per_curve_ratio(self, counted_run):
+        *_, theta_ratios = counted_run
+        ratios = Scenario.from_file(bundled_scenario_path()).ratios
+        assert theta_ratios == Counter(ratios)
+        assert set(theta_ratios.values()) == {1}
+
+    def test_repro_report_matches_run(self, counted_run, table):
+        files, *_ = counted_run
+        repro = next(p for p in files if p.name == "repro_table.json")
+        assert table.to_json() + "\n" == repro.read_text()
 
 
 class TestProviderChoice:

@@ -24,7 +24,7 @@ from biphoton.schemes import (
     scrap_transfer_probability,
     steady_state_fraction,
 )
-from biphoton.spectrum import provider_pole
+from biphoton.spectrum import hydrogenic_scaled, provider_pole, spectral_amplitude
 from biphoton.units import AU_TIME_S, Quantity
 
 HE = species("He")
@@ -167,11 +167,10 @@ class TestScrap:
 
 class TestEtpa:
     def test_budget(self):
-        res, rep = etpa_ion_rate(SchemeConfig(scheme="etpa"))
-        assert res.sigma_e_cm2 == pytest.approx(1e-27, rel=1e-9)
-        assert res.per_molecule_rate_hz == pytest.approx(1e-7, rel=1e-9)
-        assert res.ions_per_s == pytest.approx(1e5, rel=1e-9)
-        assert rep.final_rate.value == res.ions_per_s
+        rep = etpa_ion_rate(SchemeConfig(scheme="etpa"))
+        assert rep.steps["sigma_e"].value == pytest.approx(1e-27, rel=1e-9)
+        assert rep.steps["per_molecule_rate"].value == pytest.approx(1e-7, rel=1e-9)
+        assert rep.final_rate.value == pytest.approx(1e5, rel=1e-9)
 
 
 class TestCollection:
@@ -198,29 +197,27 @@ class TestCollection:
 class TestCavityTransfer:
     def test_field_scaling_e0_eight(self):
         ab = he_absorber(HE)
-        prov = provider_pole(HE)
+        prov = spectral_amplitude(provider_pole(HE))
         r1 = r_trans(1.0, Quantity(0.05, "au_field"), HE, prov, ab).value
         r2 = r_trans(1.0, Quantity(0.10, "au_field"), HE, prov, ab).value
         assert r2 / r1 == pytest.approx(256.0, rel=1e-10)
 
     def test_theta_squared_scaling(self):
         ab = he_absorber(HE)
-        prov = provider_pole(HE)
+        prov = spectral_amplitude(provider_pole(HE))
         r1 = r_trans(1.0, Quantity(0.05, "au_field"), HE, prov, ab).value
         r2 = r_trans(3.0, Quantity(0.05, "au_field"), HE, prov, ab).value
         assert r2 / r1 == pytest.approx(9.0, rel=1e-10)
 
     def test_reference_magnitude(self):
-        rt = r_trans(1.0, Quantity(0.053, "au_field"), HE, provider_pole(HE),
-                     he_absorber(HE))
+        rt = r_trans(1.0, Quantity(0.053, "au_field"), HE,
+                     spectral_amplitude(provider_pole(HE)), he_absorber(HE))
         assert rt.to("1/s").value == pytest.approx(2.63e-22, rel=0.01)
 
     def test_gap_mismatch_rejected(self):
-        scaled = provider_pole(HE)
-        from biphoton.spectrum import hydrogenic_scaled
+        scaled = spectral_amplitude(hydrogenic_scaled(provider_pole(HE), 2.0))
         with pytest.raises(ValueError, match="level gap"):
-            r_trans(1.0, Quantity(0.05, "au_field"), HE,
-                    hydrogenic_scaled(scaled, 2.0), he_absorber(HE))
+            r_trans(1.0, Quantity(0.05, "au_field"), HE, scaled, he_absorber(HE))
 
 
 class TestReportSerialization:
