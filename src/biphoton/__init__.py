@@ -45,7 +45,6 @@ from .spectrum import (
     FlatChain,
     PoleChain,
     ScaledChain,
-    TabulatedChain,
     angular_distribution,
     correlation_function,
     correlation_time,

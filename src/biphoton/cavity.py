@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .quadrature import gauss_legendre
+
 __all__ = [
     "Spheroid",
     "RayPair",
@@ -154,9 +156,7 @@ def _check_convention(convention: str):
 
 
 def _grid(n_theta: int, n_phi: int):
-    x, w = np.polynomial.legendre.leggauss(n_theta)
-    th = 0.5 * math.pi * (x + 1.0)
-    wth = 0.5 * math.pi * w
+    th, wth = gauss_legendre(n_theta, math.pi)
     ph = 2.0 * math.pi * np.arange(n_phi) / n_phi
     wph = np.full(n_phi, 2.0 * math.pi / n_phi)
     return th, wth, ph, wph
@@ -248,6 +248,8 @@ def theta_factor_mc(
     """
     if n_samples < 1000:
         raise ValueError("need n_samples >= 1000")
+    if n_workers < 1:
+        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
     _check_convention(convention)
     th_grid, cdf = _theta_cdf(s)
     sizes = np.full(_BATCHES, n_samples // _BATCHES)
@@ -261,12 +263,8 @@ def theta_factor_mc(
         t = _pol_tensor_sum(s, theta, phi, convention)
         return t.mean(axis=-1)
 
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            means = list(pool.map(run_batch, range(_BATCHES)))
-    else:
-        means = [run_batch(b) for b in range(_BATCHES)]
-    means = np.stack(means)                      # (batch, 3, 3)
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        means = np.stack(list(pool.map(run_batch, range(_BATCHES))))  # (batch, 3, 3)
     weights = sizes / sizes.sum()
 
     def theta_of(mean_t: np.ndarray) -> float:

@@ -91,7 +91,7 @@ def _cmd_spectrum(args) -> int:
     path = _out_path(args.out)
     _write_csv(path, ["omega_ev", "amplitude", "amplitude_sq"],
                zip(spec.omega_ev.tolist(), spec.amplitude.tolist(),
-                   spec.amplitude_sq.tolist()))
+                   (spec.amplitude**2).tolist()))
     print(f"wrote {path} ({spec.omega_au.size} rows)")
     return EXIT_OK
 

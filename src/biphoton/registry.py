@@ -1,7 +1,7 @@
 """Per-species atomic data registry.
 
-Built-in entries ship as a versioned JSON file next to this module; a
-user-supplied file with the same schema merges over the built-ins.  Helium-like
+Entries ship as a versioned JSON file next to this module; each entry is
+checked for unknown keys and for the level-ordering invariants.  Helium-like
 ions are synthesized on demand from the helium entry by screened hydrogenic
 scaling: the 1s->2s gap is modeled as (3/8)*(Z - sigma)^2 hartree with the
 screening constant fixed by the helium gap, and the two-photon lifetime scales
@@ -88,16 +88,6 @@ class Registry:
             resources.files("biphoton").joinpath("data/species.json").read_text()
         )
         return cls({k: _entry_to_species(k, v) for k, v in raw["species"].items()})
-
-    def merged_with(self, path) -> "Registry":
-        """New registry with entries from a user JSON file merged over built-ins."""
-        with open(path) as fh:
-            raw = json.load(fh)
-        entries = dict(self._entries)
-        entries.update(
-            {k: _entry_to_species(k, v) for k, v in raw["species"].items()}
-        )
-        return Registry(entries)
 
     def names(self) -> list[str]:
         return sorted(self._entries) + ["He-like(Z=n)"]

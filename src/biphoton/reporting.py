@@ -115,7 +115,6 @@ class Scenario:
 
     name: str
     species: str
-    seed: int
     ratios: list[float]
     geometry_rel_tol: float
     provider: str
@@ -140,8 +139,7 @@ class Scenario:
     def from_dict(cls, raw: dict) -> "Scenario":
         _check_keys(raw, {
             "schema_version": "int", "name": "str", "species": "str",
-            "seed": "int", "geometry": "dict", "spectrum": "dict",
-            "schemes": "dict",
+            "geometry": "dict", "spectrum": "dict", "schemes": "dict",
         }, "$")
         if raw.get("schema_version", 1) != 1:
             raise SchemaError(f"$.schema_version: unsupported version "
@@ -173,7 +171,6 @@ class Scenario:
         return cls(
             name=raw.get("name", "scenario"),
             species=raw.get("species", "He"),
-            seed=raw.get("seed", 42),
             ratios=ratios,
             geometry_rel_tol=float(geometry.get("rel_tol", 1e-7)),
             provider=provider,

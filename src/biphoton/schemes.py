@@ -95,8 +95,6 @@ class SchemeConfig:
     lineshape_factor_au: float = 1.0
     # broadband / scrap
     bandwidth: Quantity | None = None              # ordinary frequency
-    transition_linewidth: Quantity | None = None   # defaults to 1/lifetime_2s
-    density_model: str = "flat-top"
     pulse_duration: Quantity = Quantity(50.0, "fs")
     repetition_rate_hz: float = 1e5
     excitation_fraction: float = 0.01
@@ -113,8 +111,6 @@ class SchemeConfig:
     entanglement_area_cm2: float = 1e-8
     photon_rate_hz: float = 1e12
     molecules: float = 1e12
-    # collection
-    collection_solid_angle: float | None = None
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -137,8 +133,6 @@ class SchemeConfig:
                 raise ValueError(f"scheme {self.scheme!r} requires a positive bandwidth")
         elif self.bandwidth is not None:
             raise ValueError(f"scheme {self.scheme!r} does not take a bandwidth")
-        if self.density_model not in ("flat-top", "gaussian"):
-            raise ValueError("density_model must be 'flat-top' or 'gaussian'")
         if not 0 <= self.excitation_fraction <= 1:
             raise ValueError("excitation_fraction must be in [0, 1]")
 
@@ -293,24 +287,17 @@ def four_photon_rate_broadband(config: SchemeConfig, species: SpeciesData) -> Ra
     fraction of pump spectral density overlapping the transition linewidth.
 
     The pump density at the four-photon resonance is 1/delta for a flat-top
-    spectrum of bandwidth delta (or the equal-FWHM Gaussian peak density);
-    the transition linewidth defaults to the natural width 1/lifetime_2s.
+    spectrum of bandwidth delta; the transition linewidth is the natural
+    width 1/lifetime_2s.
     """
     if config.scheme != "broadband-4photon":
         raise ValueError(f"expected broadband-4photon config, got {config.scheme!r}")
     pair_rate, steps = _narrowband_steps(config, species)
     delta_hz = config.bandwidth.to("Hz").value
-    if config.transition_linewidth is not None:
-        width_hz = config.transition_linewidth.to("Hz").value
-    else:
-        if species.lifetime_2s is None:
-            raise ValueError(f"{species.name}: no lifetime to derive a linewidth from")
-        width_hz = 1.0 / species.lifetime_2s.to("s").value
-    if config.density_model == "flat-top":
-        peak_density = 1.0 / delta_hz
-    else:
-        sigma = delta_hz / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-        peak_density = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
+    if species.lifetime_2s is None:
+        raise ValueError(f"{species.name}: no lifetime to derive a linewidth from")
+    width_hz = 1.0 / species.lifetime_2s.to("s").value
+    peak_density = 1.0 / delta_hz
     overlap = width_hz * peak_density
     rate = pair_rate * overlap
     steps.update({
@@ -318,7 +305,7 @@ def four_photon_rate_broadband(config: SchemeConfig, species: SpeciesData) -> Ra
                                           "narrowband chain at full intensity"),
         "transition_linewidth": ReportEntry(width_hz, "Hz", "1/lifetime_2s"),
         "spectral_density_at_resonance": ReportEntry(
-            peak_density, "1/Hz", f"{config.density_model} of bandwidth delta"),
+            peak_density, "1/Hz", "flat-top of bandwidth delta"),
     })
     return RateReport(
         scheme=config.scheme,

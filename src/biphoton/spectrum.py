@@ -7,8 +7,10 @@ dipole chain
 
 which is symmetric about half the level gap (S(w) = S(D_eg - w)) because the
 two denominators swap under w -> D_eg - w.  Providers supply S(w) in atomic
-units; the flat provider is an uncalibrated baseline whose Fourier transform
-has a closed form used as a test oracle.
+units: the pole chain holds one (d_gj d_je, D_jg) term per intermediate state
+(the registry species give one term), and the flat provider is an
+uncalibrated baseline whose Fourier transform has a closed form used as a
+test oracle.
 
 The amplitude-level spectrum is f(w) = [w(D_eg - w)]^3 S(w); the correlation
 function is its Fourier transform over [0, D_eg], normalized to C(0) = 1.
@@ -26,14 +28,14 @@ counted twice; the prefactor carries the compensating 1/2).
 
 from __future__ import annotations
 
-import json
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import jv
 
+from .quadrature import gauss_legendre
 from .registry import SpeciesData
 from .units import AU_TIME_S, C_AU, HARTREE_EV, Quantity
 
@@ -41,7 +43,6 @@ __all__ = [
     "DipoleChainProvider",
     "FlatChain",
     "PoleChain",
-    "TabulatedChain",
     "ScaledChain",
     "BiphotonSpectrum",
     "CorrelationSeries",
@@ -74,17 +75,12 @@ class UncalibratedProviderError(ValueError):
 class DipoleChainProvider(ABC):
     """Source of the intermediate-state sum S(w) (atomic units)."""
 
-    species: SpeciesData | None
+    delta_eg_au: float          # level gap D_eg in hartree
     calibrated: bool
 
     @abstractmethod
     def chain_sum(self, omega_au):
         """S(w) for w in hartree; accepts scalars or arrays."""
-
-    @property
-    @abstractmethod
-    def delta_eg_au(self) -> float:
-        """Level gap D_eg in hartree."""
 
     def poles(self) -> tuple[float, ...]:
         """Pole locations of S(w) in hartree (may be empty)."""
@@ -96,128 +92,43 @@ class DipoleChainProvider(ABC):
 
 @dataclass(frozen=True)
 class FlatChain(DipoleChainProvider):
-    """Constant S(w); uncalibrated analytic baseline."""
+    """S(w) = 1; uncalibrated analytic baseline."""
 
-    species: SpeciesData
-    value: float = 1.0
-    calibrated: bool = False
+    delta_eg_au: float
+    calibrated = False
 
     def chain_sum(self, omega_au):
-        return np.full_like(np.asarray(omega_au, dtype=float), self.value)
-
-    @property
-    def delta_eg_au(self) -> float:
-        return self.species.delta_eg.au
+        return np.ones_like(np.asarray(omega_au, dtype=float))
 
     def label(self) -> str:
         return "flat"
 
 
-def _two_term_sum(omega, strength, delta_jg, delta_eg):
-    omega = np.asarray(omega, dtype=float)
-    out = np.zeros_like(omega)
-    for s, djg in zip(strength, delta_jg):
-        dej = delta_eg - djg
-        out = out + s * (1.0 / (omega - dej) + 1.0 / (djg - omega))
-    return out
-
-
 @dataclass(frozen=True)
 class PoleChain(DipoleChainProvider):
-    """Single intermediate state built from the registry oscillator strengths.
+    """Sum over intermediate states j, one ``(strength, D_jg)`` term each.
 
-    The dipole products are recovered from f = 2*D*|<b|z|a>|^2 with the
-    angular factor |<b|r|a>|^2 = 3*|<b|z|a>|^2 restoring the full vector
-    matrix element, so the chain strength is
-    3*sqrt(f_g2p/(2*D_jg))*sqrt(|f_2p2s|/(2*|D_ej|)).
+    Each term contributes strength*[1/(w - D_ej) + 1/(D_jg - w)] with
+    D_ej = D_eg - D_jg; energies in hartree, strengths d_gj d_je in a.u.
     """
 
-    species: SpeciesData
-    calibrated: bool = True
-
-    @property
-    def _strength(self) -> float:
-        sp = self.species
-        djg = sp.e_2p.au
-        dej = abs(sp.delta_ej.au)
-        return 3.0 * math.sqrt(sp.f_g2p / (2.0 * djg)) * math.sqrt(
-            abs(sp.f_2p2s) / (2.0 * dej)
-        )
+    delta_eg_au: float
+    terms: tuple[tuple[float, float], ...]
+    calibrated = True
 
     def chain_sum(self, omega_au):
-        return _two_term_sum(
-            omega_au, [self._strength], [self.species.e_2p.au], self.delta_eg_au
-        )
-
-    @property
-    def delta_eg_au(self) -> float:
-        return self.species.delta_eg.au
+        omega = np.asarray(omega_au, dtype=float)
+        out = np.zeros_like(omega)
+        for strength, djg in self.terms:
+            dej = self.delta_eg_au - djg
+            out = out + strength * (1.0 / (omega - dej) + 1.0 / (djg - omega))
+        return out
 
     def poles(self) -> tuple[float, ...]:
-        djg = self.species.e_2p.au
-        return (self.delta_eg_au - djg, djg)
+        return tuple(p for _, djg in self.terms for p in (self.delta_eg_au - djg, djg))
 
     def label(self) -> str:
         return "pole"
-
-
-@dataclass(frozen=True)
-class TabulatedChain(DipoleChainProvider):
-    """Multi-state chain loaded from a JSON file.
-
-    Schema (all energies in eV, strengths in a.u.):
-
-        {"schema_version": 1,
-         "species_name": "He",
-         "delta_eg_ev": 20.62,
-         "terms": [{"delta_jg_ev": 21.22, "strength_au": 3.63}, ...]}
-
-    Each term contributes strength*[1/(w - D_ej) + 1/(D_jg - w)] with
-    D_ej = D_eg - D_jg.
-    """
-
-    name: str
-    _delta_eg_au: float
-    strengths: tuple[float, ...]
-    deltas_jg_au: tuple[float, ...]
-    species: SpeciesData | None = None
-    calibrated: bool = True
-
-    @classmethod
-    def from_json(cls, path) -> "TabulatedChain":
-        with open(path) as fh:
-            raw = json.load(fh)
-        known = {"schema_version", "species_name", "delta_eg_ev", "terms"}
-        extra = set(raw) - known
-        if extra:
-            raise ValueError(f"tabulated chain {path}: unknown keys {sorted(extra)}")
-        terms = raw["terms"]
-        if not terms:
-            raise ValueError(f"tabulated chain {path}: needs at least one term")
-        return cls(
-            name=raw.get("species_name", "tabulated"),
-            _delta_eg_au=raw["delta_eg_ev"] / HARTREE_EV,
-            strengths=tuple(t["strength_au"] for t in terms),
-            deltas_jg_au=tuple(t["delta_jg_ev"] / HARTREE_EV for t in terms),
-        )
-
-    def chain_sum(self, omega_au):
-        return _two_term_sum(
-            omega_au, self.strengths, self.deltas_jg_au, self._delta_eg_au
-        )
-
-    @property
-    def delta_eg_au(self) -> float:
-        return self._delta_eg_au
-
-    def poles(self) -> tuple[float, ...]:
-        out = []
-        for djg in self.deltas_jg_au:
-            out.extend([self._delta_eg_au - djg, djg])
-        return tuple(out)
-
-    def label(self) -> str:
-        return f"tabulated({self.name})"
 
 
 @dataclass(frozen=True)
@@ -237,10 +148,6 @@ class ScaledChain(DipoleChainProvider):
             raise ValueError("charge_ratio must be positive")
 
     @property
-    def species(self):  # type: ignore[override]
-        return self.base.species
-
-    @property
     def calibrated(self):  # type: ignore[override]
         return self.base.calibrated
 
@@ -252,7 +159,7 @@ class ScaledChain(DipoleChainProvider):
         return self.base.chain_sum(np.asarray(omega_au, dtype=float) / self._e) / self._e**2
 
     @property
-    def delta_eg_au(self) -> float:
+    def delta_eg_au(self) -> float:  # type: ignore[override]
         return self.base.delta_eg_au * self._e
 
     def poles(self) -> tuple[float, ...]:
@@ -262,14 +169,26 @@ class ScaledChain(DipoleChainProvider):
         return f"scaled({self.base.label()}, x{self.charge_ratio})"
 
 
-def provider_flat(species: SpeciesData, value: float = 1.0) -> FlatChain:
-    return FlatChain(species=species, value=value)
+def provider_flat(species: SpeciesData) -> FlatChain:
+    return FlatChain(delta_eg_au=species.delta_eg.au)
 
 
 def provider_pole(species: SpeciesData) -> PoleChain:
+    """One-term chain built from the registry oscillator strengths.
+
+    The dipole products are recovered from f = 2*D*|<b|z|a>|^2 with the
+    angular factor |<b|r|a>|^2 = 3*|<b|z|a>|^2 restoring the full vector
+    matrix element, so the chain strength is
+    3*sqrt(f_g2p/(2*D_jg))*sqrt(|f_2p2s|/(2*|D_ej|)).
+    """
     if species.f_g2p is None or species.f_2p2s is None:
         raise ValueError(f"{species.name}: oscillator strengths required")
-    return PoleChain(species=species)
+    djg = species.e_2p.au
+    dej = abs(species.delta_ej.au)
+    strength = 3.0 * math.sqrt(species.f_g2p / (2.0 * djg)) * math.sqrt(
+        abs(species.f_2p2s) / (2.0 * dej)
+    )
+    return PoleChain(delta_eg_au=species.delta_eg.au, terms=((strength, djg),))
 
 
 # provider kind named in a scenario file or on the command line -> factory
@@ -284,16 +203,12 @@ def hydrogenic_scaled(
 
 @dataclass(frozen=True)
 class BiphotonSpectrum:
-    """Sampled spectral amplitude f(w) = [w(D-w)]^3 S(w) and its square."""
+    """Amplitude f(w) = [w(D-w)]^3 S(w) sampled on Gauss-Legendre nodes."""
 
     provider: DipoleChainProvider
     omega_au: np.ndarray
     weights_au: np.ndarray
     amplitude: np.ndarray
-    amplitude_sq: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "amplitude_sq", self.amplitude**2)
 
     @property
     def delta_eg_au(self) -> float:
@@ -304,38 +219,14 @@ class BiphotonSpectrum:
         return self.omega_au * HARTREE_EV
 
 
-def _gl_grid(delta: float, n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * delta * (x + 1.0), 0.5 * delta * w
-
-
 def spectral_amplitude(
-    provider: DipoleChainProvider,
-    grid=None,
-    n_points: int = 2048,
+    provider: DipoleChainProvider, n_points: int = 2048
 ) -> BiphotonSpectrum:
-    """Sample the amplitude-level spectrum on [0, D_eg].
-
-    With ``grid=None`` a Gauss-Legendre rule of ``n_points`` nodes is used
-    (nodes and weights are stored so downstream integrals reuse them); an
-    explicit grid gets trapezoid weights and must have at least 512 points
-    inside [0, D_eg].
-    """
+    """Sample the amplitude-level spectrum on [0, D_eg] at the nodes of an
+    ``n_points``-node Gauss-Legendre rule; the weights are stored so
+    downstream integrals reuse them."""
     delta = provider.delta_eg_au
-    if grid is None:
-        omega, weights = _gl_grid(delta, n_points)
-    else:
-        omega = np.asarray(grid, dtype=float)
-        if omega.size < 512:
-            raise ValueError(f"grid needs >= 512 points, got {omega.size}")
-        if np.any(np.diff(omega) <= 0):
-            raise ValueError("grid must be strictly increasing")
-        if omega[0] < 0 or omega[-1] > delta * (1 + 1e-12):
-            raise ValueError(f"grid must lie within [0, {delta}] hartree")
-        weights = np.empty_like(omega)
-        weights[1:-1] = (omega[2:] - omega[:-2]) / 2.0
-        weights[0] = (omega[1] - omega[0]) / 2.0
-        weights[-1] = (omega[-1] - omega[-2]) / 2.0
+    omega, weights = gauss_legendre(n_points, delta)
     for p in provider.poles():
         if 0.0 <= p <= delta:
             raise PoleInGridError(
@@ -354,7 +245,6 @@ class CorrelationSeries:
 
     t_au: np.ndarray
     values: np.ndarray
-    normalized: bool = True
 
     @property
     def t_s(self) -> np.ndarray:
@@ -366,21 +256,20 @@ class CorrelationSeries:
 
 
 def correlation_function(
-    spectrum: BiphotonSpectrum, t_grid=None, t_max_au: float = 40.0, n_t: int = 4096
+    spectrum: BiphotonSpectrum, t_max_au: float = 40.0, n_t: int = 4096
 ) -> CorrelationSeries:
     """Fourier transform of the amplitude-level spectrum, normalized to C(0)=1.
 
-    ``t_grid`` (a.u.) must be symmetric about zero; the default is uniform on
-    [-t_max_au, t_max_au].  The frequency grid must resolve the fastest
+    The time grid is uniform on [-t_max_au, t_max_au] with ``n_t | 1`` points
+    (odd, so it contains t = 0).  The frequency grid must resolve the fastest
     oscillation e^{i w t_max}: the largest node gap must stay below a quarter
     period, else the transform is silently wrong, so this raises instead.
     """
-    if t_grid is None:
-        t_grid = np.linspace(-t_max_au, t_max_au, n_t | 1)  # odd => contains 0
-    t = np.asarray(t_grid, dtype=float)
-    if not np.allclose(t, -t[::-1], atol=1e-12):
-        raise ValueError("t_grid must be symmetric about 0")
-    tmax = float(np.max(np.abs(t)))
+    if n_t < 2:
+        raise ValueError(f"n_t must be >= 2, got {n_t}: the time grid needs "
+                         "points on both sides of t = 0")
+    t = np.linspace(-t_max_au, t_max_au, n_t | 1)
+    tmax = abs(t_max_au)
     max_gap = float(np.max(np.diff(spectrum.omega_au)))
     if tmax > 0 and max_gap * tmax > math.pi / 2.0:
         raise ValueError(

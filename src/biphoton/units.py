@@ -13,8 +13,8 @@ Conventions
   1e14 W/cm^2.  An RMS convention would differ by sqrt(2); see README.
 * Gas number density is calibrated to 1e19 cm^-3 at (1 bar, 293 K) -- the
   benchmark every downstream particle budget in this package assumes.  A
-  strict ideal-gas evaluation gives 2.47e19 cm^-3 at the same state point
-  and is available behind ``ideal_gas=True``.
+  strict ideal-gas evaluation P/kT would give 2.47e19 cm^-3 at the same
+  state point.
 """
 
 from __future__ import annotations
@@ -46,8 +46,6 @@ AU_TIME_S = 2.4188843265857e-17       # s per a.u. time
 C_AU = 137.035999084                  # speed of light, a.u. (1/alpha)
 BOHR_M = 5.29177210903e-11
 BOHR_CM = BOHR_M * 1e2
-EV_J = 1.602176634e-19
-KB_J_PER_K = 1.380649e-23
 
 # Intensity at which E0 = 1 a.u. under the SI relation I = eps0*c*E^2/2.
 AU_INTENSITY_WCM2 = 3.50944758e16
@@ -235,19 +233,11 @@ def photon_flux(
     return Quantity(photon_flux_density(intensity, photon_energy) * area, "1/s")
 
 
-def number_density(
-    pressure_bar: float, temperature_k: float = 293.0, ideal_gas: bool = False
-) -> float:
-    """Gas number density in cm^-3.
-
-    Default is the calibrated benchmark 1e19 cm^-3 at (1 bar, 293 K), scaled
-    linearly in P and inversely in T.  ``ideal_gas=True`` evaluates P/kT
-    instead (2.47e19 cm^-3 at the benchmark point).
-    """
+def number_density(pressure_bar: float, temperature_k: float = 293.0) -> float:
+    """Gas number density in cm^-3: the calibrated benchmark 1e19 cm^-3 at
+    (1 bar, 293 K), scaled linearly in P and inversely in T."""
     if pressure_bar < 0 or temperature_k <= 0:
         raise ValueError("need pressure >= 0 and temperature > 0")
-    if ideal_gas:
-        return pressure_bar * 1e5 / (KB_J_PER_K * temperature_k) * 1e-6
     return DENSITY_1BAR_293K_CM3 * pressure_bar * (293.0 / temperature_k)
 
 
@@ -256,7 +246,6 @@ def atoms_in_focal_volume(
     temperature_k: float,
     spot_diameter: Quantity,
     path_length: Quantity,
-    ideal_gas: bool = False,
 ) -> float:
     """Atom count in the cylindrical focal volume pi*(d/2)^2 * L."""
     d_cm = spot_diameter.to("cm").value
@@ -264,4 +253,4 @@ def atoms_in_focal_volume(
     if d_cm <= 0 or l_cm < 0:
         raise ValueError("need spot diameter > 0 and path length >= 0")
     volume = math.pi * (d_cm / 2.0) ** 2 * l_cm
-    return number_density(pressure_bar, temperature_k, ideal_gas=ideal_gas) * volume
+    return number_density(pressure_bar, temperature_k) * volume

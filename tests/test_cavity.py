@@ -135,6 +135,11 @@ class TestThetaMC:
         b = theta_factor_mc(s, 50_000, seed=11, n_workers=4)
         assert a[0] == b[0]
 
+    @pytest.mark.parametrize("n_workers", [0, -2])
+    def test_worker_count_must_be_positive(self, n_workers):
+        with pytest.raises(ValueError, match="n_workers"):
+            theta_factor_mc(Spheroid(2.0, 1.0), 1000, n_workers=n_workers)
+
     def test_minimum_samples(self):
         with pytest.raises(ValueError):
             theta_factor_mc(Spheroid(2.0, 1.0), 10)

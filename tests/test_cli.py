@@ -64,6 +64,13 @@ class TestSpectrumAndCorrelation:
         assert "correlation time" in stdout
         assert out.read_text().splitlines()[0] == "t_au,t_s,re,im,abs"
 
+    @pytest.mark.parametrize("n_t", ["-1", "0", "1"])
+    def test_too_few_time_points_names_n_t(self, n_t, tmp_path, capsys):
+        code, _, err = run(["correlation", "--n-omega", "64", "--n-t", n_t,
+                            "--out", str(tmp_path / "c.csv")], capsys)
+        assert code == EXIT_CONFIG
+        assert "n_t must be >= 2" in err
+
     def test_unknown_species_is_config_error(self, capsys):
         code, _, err = run(["lifetime", "--species", "Unobtainium"], capsys)
         assert code == EXIT_CONFIG

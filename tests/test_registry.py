@@ -1,8 +1,12 @@
-import json
-
 import pytest
 
-from biphoton.registry import Registry, SpeciesNotFound, default_registry, species
+from biphoton.registry import (
+    Registry,
+    SpeciesNotFound,
+    _entry_to_species,
+    default_registry,
+    species,
+)
 
 
 class TestHelium:
@@ -52,32 +56,16 @@ class TestHeLike:
 
 
 class TestUserOverlay:
-    def test_merge(self, tmp_path):
-        path = tmp_path / "extra.json"
-        path.write_text(json.dumps({"species": {
-            "He*": {"delta_eg_ev": 20.0, "e_2p_ev": 21.0, "f_g2p": 0.3,
-                    "f_2p2s": -0.3, "z": 2},
-        }}))
-        merged = default_registry().merged_with(path)
-        assert merged.species("He*").delta_eg.value == 20.0
-        assert merged.species("He").delta_eg.value == pytest.approx(20.62)
-        with pytest.raises(SpeciesNotFound):
-            default_registry().species("He*")
+    """The checks every species entry passes, those of the shipped
+    ``species.json`` included."""
 
-    def test_unknown_key_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"species": {
-            "X": {"delta_eg_ev": 20.0, "e_2p_ev": 21.0, "f_g2p": 0.3,
-                  "f_2p2s": -0.3, "z": 2, "typo_field": 1},
-        }}))
+    ENTRY = {"delta_eg_ev": 20.0, "e_2p_ev": 21.0, "f_g2p": 0.3,
+             "f_2p2s": -0.3, "z": 2}
+
+    def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="typo_field"):
-            default_registry().merged_with(path)
+            _entry_to_species("X", {**self.ENTRY, "typo_field": 1})
 
-    def test_invariants_enforced(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"species": {
-            "X": {"delta_eg_ev": 22.0, "e_2p_ev": 21.0, "f_g2p": 0.3,
-                  "f_2p2s": -0.3, "z": 2},
-        }}))
+    def test_invariants_enforced(self):
         with pytest.raises(ValueError, match="delta_eg < e_2p"):
-            default_registry().merged_with(path)
+            _entry_to_species("X", {**self.ENTRY, "delta_eg_ev": 22.0})

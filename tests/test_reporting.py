@@ -1,6 +1,8 @@
+import hashlib
 import json
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,7 +75,6 @@ class TestScenarioSchema:
     def test_bundled_scenario_loads(self):
         sc = Scenario.from_file(bundled_scenario_path())
         assert sc.species == "He"
-        assert sc.seed == 42
         assert sc.ratios[0] == 1.0
 
     def test_missing_file(self, tmp_path):
@@ -90,6 +91,11 @@ class TestScenarioSchema:
         with pytest.raises(SchemaError, match=r"\$: unknown key"):
             Scenario.from_dict({"bogus": 1})
 
+    def test_seed_is_unknown_key(self):
+        # the run has no random input, so a scenario takes no seed
+        with pytest.raises(SchemaError, match=r"\$: unknown key.*'seed'"):
+            Scenario.from_dict({"seed": 1})
+
     def test_unknown_scheme_override_key(self):
         with pytest.raises(SchemaError, match=r"\$\.schemes\.etpa"):
             Scenario.from_dict({"schemes": {"etpa": {"warp_factor": 9}}})
@@ -101,8 +107,8 @@ class TestScenarioSchema:
     def test_type_errors_carry_path(self):
         with pytest.raises(SchemaError, match=r"\$\.geometry\.rel_tol"):
             Scenario.from_dict({"geometry": {"rel_tol": "tight"}})
-        with pytest.raises(SchemaError, match=r"\$\.seed"):
-            Scenario.from_dict({"seed": True})
+        with pytest.raises(SchemaError, match=r"\$\.spectrum\.n_t"):
+            Scenario.from_dict({"spectrum": {"n_t": True}})
 
     def test_bad_provider(self):
         with pytest.raises(SchemaError, match="provider"):
@@ -193,6 +199,14 @@ class TestRunScenario:
         ])
         for p1, p2 in zip(files1, files2):
             assert p1.read_bytes() == p2.read_bytes(), p1.name
+
+    def test_artifacts_match_reference_hashes(self, counted_run):
+        """Every byte of the bundled run equals the recorded reference run."""
+        files, *_ = counted_run
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+        reference = json.loads(path.read_text())["paper-run"]
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
+        assert got == reference
 
     def test_csv_headers(self, counted_run):
         files, *_ = counted_run

@@ -102,15 +102,6 @@ class TestBroadband:
         assert rep.steps["transition_linewidth"].value == pytest.approx(
             1.0 / 0.0197, rel=1e-6)
 
-    def test_gaussian_peak_density_ratio(self):
-        import dataclasses
-        g = dataclasses.replace(self.CFG, density_model="gaussian")
-        flat = four_photon_rate_broadband(self.CFG, HE).final_rate.value
-        gauss = four_photon_rate_broadband(g, HE).final_rate.value
-        # equal-FWHM Gaussian peak density is sqrt(4 ln2 / pi)/FWHM ~ 0.939/FWHM
-        assert gauss / flat == pytest.approx(
-            math.sqrt(4.0 * math.log(2.0) / math.pi), rel=1e-9)
-
     def test_bandwidth_required(self):
         with pytest.raises(ValueError, match="bandwidth"):
             SchemeConfig(scheme="broadband-4photon")

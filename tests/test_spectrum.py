@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -6,8 +5,8 @@ import pytest
 
 from biphoton.registry import species
 from biphoton.spectrum import (
+    PoleChain,
     PoleInGridError,
-    TabulatedChain,
     UncalibratedProviderError,
     angular_distribution,
     correlation_function,
@@ -33,11 +32,11 @@ class TestSpectralAmplitude:
         assert np.allclose(direct, mirrored, rtol=1e-12)
 
     def test_endpoints_vanish(self):
-        delta = provider_pole(HE).delta_eg_au
-        grid = np.linspace(0.0, delta, 1024)
-        spec = spectral_amplitude(provider_pole(HE), grid=grid)
-        assert spec.amplitude[0] == 0.0
-        assert spec.amplitude[-1] == pytest.approx(0.0, abs=1e-20)
+        """The [w(D-w)]^3 factor kills the amplitude at the first and last
+        Gauss-Legendre node (2.4e-17 of the peak at n=2048)."""
+        amp = np.abs(spectral_amplitude(provider_pole(HE)).amplitude)
+        assert amp[0] <= 1e-15 * amp.max()
+        assert amp[-1] <= 1e-15 * amp.max()
 
     def test_edge_enhancement_vs_flat(self):
         """Near-pole edges are enhanced relative to a flat chain."""
@@ -53,21 +52,9 @@ class TestSpectralAmplitude:
         assert spec.omega_ev.max() == pytest.approx(
             spec.omega_au.max() * HARTREE_EV, rel=1e-14)
 
-    def test_explicit_grid_validation(self):
-        delta = provider_pole(HE).delta_eg_au
-        with pytest.raises(ValueError, match="512"):
-            spectral_amplitude(provider_pole(HE), grid=np.linspace(0, delta, 100))
-        bad = np.linspace(-0.1, delta, 1024)
-        with pytest.raises(ValueError):
-            spectral_amplitude(provider_pole(HE), grid=bad)
-
-    def test_pole_in_window_rejected(self, tmp_path):
-        path = tmp_path / "chain.json"
-        path.write_text(json.dumps({
-            "schema_version": 1, "species_name": "X", "delta_eg_ev": 20.62,
-            "terms": [{"delta_jg_ev": 10.0, "strength_au": 1.0}],
-        }))
-        chain = TabulatedChain.from_json(path)
+    def test_pole_in_window_rejected(self):
+        chain = PoleChain(delta_eg_au=20.62 / HARTREE_EV,
+                          terms=((1.0, 10.0 / HARTREE_EV),))
         with pytest.raises(PoleInGridError):
             spectral_amplitude(chain)
 
@@ -97,10 +84,11 @@ class TestCorrelation:
         assert tau.width.to("s").value == pytest.approx(1.93e-16, rel=0.25)
         assert tau.half_width_au == pytest.approx(tau.width_au / 2.0)
 
-    def test_asymmetric_grid_rejected(self):
-        spec = spectral_amplitude(provider_pole(HE))
-        with pytest.raises(ValueError, match="symmetric"):
-            correlation_function(spec, t_grid=np.linspace(-1.0, 2.0, 513))
+    def test_two_time_points_give_symmetric_grid(self):
+        spec = spectral_amplitude(provider_pole(HE), n_points=64)
+        series = correlation_function(spec, t_max_au=1.0, n_t=2)
+        np.testing.assert_array_equal(series.t_au, [-1.0, 0.0, 1.0])
+        assert series.values[1] == pytest.approx(1.0 + 0j, abs=1e-12)
 
     def test_nyquist_guard(self):
         spec = spectral_amplitude(provider_pole(HE), n_points=600)
@@ -146,35 +134,26 @@ class TestDecayRate:
 
 
 class TestTabulated:
-    def test_round_trip_matches_pole(self, tmp_path):
+    """``PoleChain`` built from a table of (strength, D_jg) terms."""
+
+    def test_round_trip_matches_pole(self):
+        # d_g2p*d_2p2s from f = 2*D*|<b|z|a>|^2, written out in eV
+        djg, dej = HE.e_2p.value / HARTREE_EV, 0.60 / HARTREE_EV
+        strength = 3.0 * math.sqrt(0.28 / (2 * djg)) * math.sqrt(0.36 / (2 * dej))
+        tab = PoleChain(delta_eg_au=HE.delta_eg.value / HARTREE_EV,
+                        terms=((strength, djg),))
         pole = provider_pole(HE)
-        path = tmp_path / "he.json"
-        path.write_text(json.dumps({
-            "schema_version": 1, "species_name": "He",
-            "delta_eg_ev": HE.delta_eg.value,
-            "terms": [{"delta_jg_ev": HE.e_2p.value,
-                       "strength_au": pole._strength}],
-        }))
-        tab = TabulatedChain.from_json(path)
         omega = np.linspace(0.05, 0.7, 200)
         assert np.allclose(tab.chain_sum(omega), pole.chain_sum(omega),
                            rtol=1e-10)
-
-    def test_unknown_key_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({
-            "schema_version": 1, "delta_eg_ev": 20.0, "terms": [],
-            "surprise": 1,
-        }))
-        with pytest.raises(ValueError, match="surprise"):
-            TabulatedChain.from_json(path)
-
-    def test_empty_terms_rejected(self, tmp_path):
-        path = tmp_path / "empty.json"
-        path.write_text(json.dumps({
-            "schema_version": 1, "delta_eg_ev": 20.0, "terms": []}))
-        with pytest.raises(ValueError, match="at least one"):
-            TabulatedChain.from_json(path)
+        assert tab.poles() == pytest.approx(pole.poles(), rel=1e-12)
+        # a second state adds its own term and its own pair of poles
+        far = (0.5, 1.5)
+        two = PoleChain(delta_eg_au=tab.delta_eg_au, terms=tab.terms + (far,))
+        one = PoleChain(delta_eg_au=tab.delta_eg_au, terms=(far,))
+        assert np.allclose(two.chain_sum(omega),
+                           tab.chain_sum(omega) + one.chain_sum(omega), rtol=1e-12)
+        assert two.poles() == tab.poles() + one.poles()
 
 
 class TestAngularDistribution:

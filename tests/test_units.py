@@ -105,10 +105,6 @@ class TestDensityAndAtoms:
     def test_benchmark_density(self):
         assert number_density(1.0, 293.0) == pytest.approx(1e19, rel=1e-12)
 
-    def test_ideal_gas_variant(self):
-        assert number_density(1.0, 293.0, ideal_gas=True) == pytest.approx(
-            2.47e19, rel=0.01)
-
     def test_focal_volume_reference(self):
         n = atoms_in_focal_volume(1.0, 293.0, Quantity(100.0, "um"),
                                   Quantity(1.0, "mm"))
