@@ -3,11 +3,9 @@ of metastable helium-like atoms: spheroid-cavity polarization transport, pair
 spectra and time correlations, and excitation-scheme rate budgets."""
 
 from .cavity import (
-    RayPair,
     Spheroid,
     ThetaConvergenceError,
     angular_jacobian,
-    emission_ray,
     theta_curve,
     theta_factor_mc,
     theta_factor_quadrature,
@@ -45,7 +43,6 @@ from .spectrum import (
     FlatChain,
     PoleChain,
     ScaledChain,
-    angular_distribution,
     correlation_function,
     correlation_time,
     flat_correlation_closed_form,

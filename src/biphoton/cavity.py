@@ -34,9 +34,7 @@ from .quadrature import gauss_legendre
 
 __all__ = [
     "Spheroid",
-    "RayPair",
     "ThetaConvergenceError",
-    "emission_ray",
     "angular_jacobian",
     "theta_factor_quadrature",
     "theta_factor_mc",
@@ -63,8 +61,8 @@ class Spheroid:
     b: float
 
     def __post_init__(self):
-        if not (self.a >= self.b > 0):
-            raise ValueError(f"need a >= b > 0, got a={self.a}, b={self.b}")
+        if not (math.isfinite(self.a) and self.a >= self.b > 0):
+            raise ValueError(f"need finite a >= b > 0, got a={self.a}, b={self.b}")
 
     @property
     def l(self) -> float:
@@ -74,20 +72,6 @@ class Spheroid:
     @property
     def ratio(self) -> float:
         return self.a / self.b
-
-
-@dataclass(frozen=True)
-class RayPair:
-    theta: float
-    phi: float
-    k_hat: np.ndarray
-    k_hat_prime: np.ndarray
-    l_plus: float
-    l_minus: float
-    eps1: np.ndarray
-    eps2: np.ndarray
-    eps1_prime: np.ndarray
-    eps2_prime: np.ndarray
 
 
 def _frames(s: Spheroid, theta, phi):
@@ -104,27 +88,6 @@ def _frames(s: Spheroid, theta, phi):
     e2p = np.stack([(a * ct - l) * cp, (a * ct - l) * sp, -b * st]) / lm
     return {"k": k, "kp": kp, "e1": e1, "e2": e2, "e1p": e1, "e2p": e2p,
             "lp": lp, "lm": lm}
-
-
-def emission_ray(s: Spheroid, theta: float, phi: float) -> RayPair:
-    """Ray pair for emission angle (theta, phi); reflected ray hits the second focus."""
-    if not (0.0 <= theta <= math.pi):
-        raise ValueError(f"theta must be in [0, pi], got {theta}")
-    if not (0.0 <= phi < 2.0 * math.pi):
-        raise ValueError(f"phi must be in [0, 2*pi), got {phi}")
-    f = _frames(s, np.float64(theta), np.float64(phi))
-    return RayPair(
-        theta=theta,
-        phi=phi,
-        k_hat=f["k"],
-        k_hat_prime=f["kp"],
-        l_plus=float(f["lp"]),
-        l_minus=float(f["lm"]),
-        eps1=f["e1"],
-        eps2=f["e2"],
-        eps1_prime=f["e1p"],
-        eps2_prime=f["e2p"],
-    )
 
 
 def angular_jacobian(s: Spheroid, theta):

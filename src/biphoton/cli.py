@@ -44,9 +44,7 @@ EXIT_NUMERICAL = 3
 EXIT_ACCEPTANCE = 4
 
 
-def _out_path(name: str | None) -> Path | None:
-    if name is None:
-        return None
+def _out_path(name: str) -> Path:
     path = Path(name)
     base = os.environ.get("BIPHOTON_OUTDIR")
     if base and not path.is_absolute():
@@ -65,7 +63,7 @@ def _provider(species_name: str, kind: str):
 
 def _cmd_theta(args) -> int:
     s = Spheroid(float(args.ratio), 1.0)
-    if args.mc:
+    if args.mc is not None:
         est, se = theta_factor_mc(s, args.mc, seed=args.seed,
                                   convention=args.convention)
         print(f"theta = {est:.10g} +/- {se:.3g} (mc, n={args.mc}, seed={args.seed})")

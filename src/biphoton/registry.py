@@ -24,7 +24,9 @@ _HE_LIKE = re.compile(r"^He-like\(Z=(\d+)\)$")
 
 
 class SpeciesNotFound(KeyError):
-    pass
+    """Unknown species name; prints its message as is (KeyError quotes it)."""
+
+    __str__ = Exception.__str__
 
 
 @dataclass(frozen=True)

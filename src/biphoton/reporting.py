@@ -237,8 +237,8 @@ class ReproTable:
     def all_passed(self) -> bool:
         return all(r.passed for r in self.rows)
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(asdict(self), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(asdict(self), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "ReproTable":
@@ -359,7 +359,7 @@ def _repro_table(scenario: Scenario, he, spec: spc.BiphotonSpectrum,
 
     # --- scheme budgets
     cfg_n = scenario.config("narrowband-4photon")
-    flux = photon_flux(cfg_n.intensity, cfg_n.photon_energy, cfg_n.spot_diameter)
+    flux = photon_flux(cfg_n.intensity, sch.PUMP_PHOTON_ENERGY, cfg_n.spot_diameter)
     chained_rate = flux.value * frac4 / 4.0
     rows.append(_row("narrowband_rate", "narrowband pair generation rate (1/s)",
                      1e22, chained_rate, "order-of-magnitude", 10.0,
@@ -395,7 +395,7 @@ def _repro_table(scenario: Scenario, he, spec: spc.BiphotonSpectrum,
                           "1e-27; the quoted 1e-29 is not reproducible from "
                           "the printed formula"))
     cfg_e = scenario.config("etpa")
-    per_mol = 1e-29 * cfg_e.photon_rate_hz / cfg_e.entanglement_area_cm2
+    per_mol = 1e-29 * cfg_e.photon_rate_hz / sch.ENTANGLEMENT_AREA_CM2
     rows.append(_row("etpa_per_molecule", "ETPA rate per molecule (1/s)",
                      1e-9, per_mol, "order-of-magnitude", 3.0,
                      note="chained from the quoted sigma_e=1e-29"))

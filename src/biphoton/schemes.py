@@ -49,6 +49,14 @@ __all__ = [
     "SCHEMES",
     "SCHEME_RUNNERS",
     "SchemeConfig",
+    "PUMP_PHOTON_ENERGY",
+    "LAMP_INTENSITY",
+    "LAMP_PHOTON_ENERGY",
+    "LASER_INTENSITY",
+    "LASER_PHOTON_ENERGY",
+    "SIGMA2_CM4S",
+    "ENTANGLEMENT_TIME",
+    "ENTANGLEMENT_AREA_CM2",
     "ReportEntry",
     "RateReport",
     "AbsorberChain",
@@ -74,6 +82,16 @@ __all__ = [
 
 _NEEDS_BANDWIDTH = ("broadband-4photon", "scrap")
 
+# Printed inputs of the reference budgets; no scenario varies them.
+PUMP_PHOTON_ENERGY = Quantity(5.155, "eV")          # 240 nm pump
+LAMP_INTENSITY = Quantity(34.0, "W/cm^2")           # sequential: He I lamp
+LAMP_PHOTON_ENERGY = Quantity(21.22, "eV")
+LASER_INTENSITY = Quantity(1e12, "W/cm^2")          # sequential: 2059 nm laser
+LASER_PHOTON_ENERGY = Quantity(0.602, "eV")
+SIGMA2_CM4S = 1e-50                                 # etpa: sigma_2
+ENTANGLEMENT_TIME = Quantity(1e-15, "s")            # etpa: T_e
+ENTANGLEMENT_AREA_CM2 = 1e-8                        # etpa: A_e
+
 
 def _positive(name, value):
     if value is not None and not value > 0:
@@ -83,11 +101,12 @@ def _positive(name, value):
 @dataclass(frozen=True)
 class SchemeConfig:
     """Inputs for one scheme estimate.  Defaults are the reference scenario:
-    100 um spot, 1 mm path, 1 bar, 240 nm pump at 1e14 W/cm^2."""
+    100 um spot, 1 mm path, 1 bar, pump at 1e14 W/cm^2.  Each field but
+    ``scheme`` is set by one scenario override key; the printed inputs that
+    no scenario varies are the module constants above."""
 
     scheme: str
     intensity: Quantity = Quantity(1e14, "W/cm^2")
-    photon_energy: Quantity = Quantity(5.155, "eV")
     spot_diameter: Quantity = Quantity(100.0, "um")
     path_length: Quantity = Quantity(1.0, "mm")
     pressure_bar: float = 1.0
@@ -100,34 +119,22 @@ class SchemeConfig:
     excitation_fraction: float = 0.01
     n_atoms: float | None = None                   # override for focal-volume count
     # sequential
-    lamp_intensity: Quantity = Quantity(34.0, "W/cm^2")
-    lamp_photon_energy: Quantity = Quantity(21.22, "eV")
-    laser_intensity: Quantity = Quantity(1e12, "W/cm^2")
-    laser_photon_energy: Quantity = Quantity(0.602, "eV")
     tau_2p: Quantity = Quantity(2.05e-9, "s")
     # etpa
-    sigma2_cm4s: float = 1e-50
-    entanglement_time: Quantity = Quantity(1e-15, "s")
-    entanglement_area_cm2: float = 1e-8
     photon_rate_hz: float = 1e12
     molecules: float = 1e12
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; one of {SCHEMES}")
-        for name in ("intensity", "lamp_intensity", "laser_intensity"):
-            q = getattr(self, name)
-            if q.value < 0:
-                raise ValueError(f"{name} must be >= 0")
-        for name in ("photon_energy", "spot_diameter", "path_length",
-                     "pulse_duration", "tau_2p", "entanglement_time"):
+        if self.intensity.value < 0:
+            raise ValueError("intensity must be >= 0")
+        for name in ("spot_diameter", "path_length", "pulse_duration", "tau_2p"):
             _positive(name, getattr(self, name).value)
         _positive("pressure_bar", self.pressure_bar)
         _positive("temperature_k", self.temperature_k)
         _positive("lineshape_factor_au", self.lineshape_factor_au)
         _positive("repetition_rate_hz", self.repetition_rate_hz)
-        _positive("sigma2_cm4s", self.sigma2_cm4s)
-        _positive("entanglement_area_cm2", self.entanglement_area_cm2)
         if self.scheme in _NEEDS_BANDWIDTH:
             if self.bandwidth is None or not self.bandwidth.value > 0:
                 raise ValueError(f"scheme {self.scheme!r} requires a positive bandwidth")
@@ -160,8 +167,8 @@ class RateReport:
     steps: dict[str, ReportEntry]
     schema_version: int = 1
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(asdict(self), indent=indent, sort_keys=False)
+    def to_json(self) -> str:
+        return json.dumps(asdict(self), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "RateReport":
@@ -245,13 +252,13 @@ def attenuation_fraction(
 
 def _narrowband_steps(config: SchemeConfig, species: SpeciesData):
     density = number_density(config.pressure_bar, config.temperature_k)
-    flux = photon_flux(config.intensity, config.photon_energy, config.spot_diameter)
+    flux = photon_flux(config.intensity, PUMP_PHOTON_ENERGY, config.spot_diameter)
     r4 = four_photon_rate(
         species, intensity=config.intensity,
         lineshape_factor_au=config.lineshape_factor_au,
     )
     alpha = absorption_coefficient(
-        4, r4, density, config.intensity, config.photon_energy
+        4, r4, density, config.intensity, PUMP_PHOTON_ENERGY
     )
     frac = attenuation_fraction(config.intensity, alpha, config.path_length, 4)
     pair_rate = flux.value * frac / 4.0
@@ -349,17 +356,13 @@ def biphoton_rate_sequential(config: SchemeConfig, species: SpeciesData) -> Rate
     if config.scheme != "sequential":
         raise ValueError(f"expected sequential config, got {config.scheme!r}")
     tau_au = config.tau_2p.au
-    r1 = one_photon_rate(
-        species.f_g2p, config.lamp_intensity, config.lamp_photon_energy, tau_au
-    )
-    r2 = one_photon_rate(
-        species.f_2p2s, config.laser_intensity, config.laser_photon_energy, tau_au
-    )
+    r1 = one_photon_rate(species.f_g2p, LAMP_INTENSITY, LAMP_PHOTON_ENERGY, tau_au)
+    r2 = one_photon_rate(species.f_2p2s, LASER_INTENSITY, LASER_PHOTON_ENERGY, tau_au)
     frac = steady_state_fraction(r1, config.tau_2p)
     atoms = config.atoms()
     inventory = frac * atoms
     lamp_supply = photon_flux(
-        config.lamp_intensity, config.lamp_photon_energy, config.spot_diameter
+        LAMP_INTENSITY, LAMP_PHOTON_ENERGY, config.spot_diameter
     ).value
     rate = min(inventory, lamp_supply)
     binding = "excited-inventory" if inventory <= lamp_supply else "lamp-photon-supply"
@@ -424,18 +427,16 @@ def lz_integral(omega_hz: float, bandwidth_hz: float, pulse_duration: Quantity,
 
 @dataclass(frozen=True)
 class ScrapResult:
+    """Transfer probability and its LZ exponent on the ramp window [0, tau],
+    then on the centered window [-tau/2, tau/2]."""
+
     probability: float
     exponent: float
-    window: str
     probability_other_window: float
     exponent_other_window: float
-    omega_hz: float
-    gamma_hz: float
 
 
-def scrap_transfer_probability(
-    config: SchemeConfig, species: SpeciesData, window: str = "ramp"
-) -> ScrapResult:
+def scrap_transfer_probability(config: SchemeConfig, species: SpeciesData) -> ScrapResult:
     """Population-transfer probability P = 1 - exp(-integral Gamma dt).
 
     The effective Rabi frequency squared is W^2 = W_eg^2 + (delta/2)^2 where
@@ -451,18 +452,13 @@ def scrap_transfer_probability(
     )
     omega_hz = math.sqrt(omega_eg_hz**2 + (delta_hz / 2.0) ** 2)
     tau = config.pulse_duration
-    other = "centered" if window == "ramp" else "ramp"
-    exponent = lz_integral(omega_hz, delta_hz, tau, window=window)
-    exponent_other = lz_integral(omega_hz, delta_hz, tau, window=other)
-    g = math.sqrt(delta_hz / (4.0 * math.pi * tau.to("s").value))
+    exponent = lz_integral(omega_hz, delta_hz, tau, window="ramp")
+    exponent_other = lz_integral(omega_hz, delta_hz, tau, window="centered")
     return ScrapResult(
         probability=1.0 - math.exp(-exponent),
         exponent=exponent,
-        window=window,
         probability_other_window=1.0 - math.exp(-exponent_other),
         exponent_other_window=exponent_other,
-        omega_hz=omega_hz,
-        gamma_hz=g,
     )
 
 
@@ -477,7 +473,7 @@ def scrap_biphoton_rate(config: SchemeConfig, species: SpeciesData) -> RateRepor
     steps = {
         "transfer_probability": ReportEntry(
             res.probability, "",
-            f"1-exp(-{res.exponent:.3g}), window={res.window}"),
+            f"1-exp(-{res.exponent:.3g}), window=ramp"),
         "transfer_probability_centered": ReportEntry(
             res.probability_other_window, "",
             f"1-exp(-{res.exponent_other_window:.3g}), window=centered"),
@@ -501,9 +497,9 @@ def etpa_ion_rate(config: SchemeConfig) -> RateReport:
     sigma_e x (photon rate / A_e), ions/s = per-molecule rate x molecules."""
     if config.scheme != "etpa":
         raise ValueError(f"expected etpa config, got {config.scheme!r}")
-    t_e = config.entanglement_time.to("s").value
-    sigma_e = config.sigma2_cm4s / (config.entanglement_area_cm2 * t_e)
-    flux_density = config.photon_rate_hz / config.entanglement_area_cm2
+    t_e = ENTANGLEMENT_TIME.to("s").value
+    sigma_e = SIGMA2_CM4S / (ENTANGLEMENT_AREA_CM2 * t_e)
+    flux_density = config.photon_rate_hz / ENTANGLEMENT_AREA_CM2
     per_molecule = sigma_e * flux_density
     ions = per_molecule * config.molecules
     return RateReport(
@@ -580,15 +576,15 @@ def r_trans(
     species: SpeciesData,
     emitter: BiphotonSpectrum,
     absorber: AbsorberChain,
-    lineshape_exc_au: float = 1.0,
-    lineshape_abs_au: float = 1.0,
 ) -> Quantity:
     """Coherent excitation-emission-absorption transfer rate in the cavity.
 
-    R = 2*pi*L_abs * | Theta * E0^4/(256 c^6) * D4 * L_exc * K |^2 with
+    R = 2*pi * | Theta * E0^4/(256 c^6) * D4 * K |^2 with
     K = integral_0^D [w(D-w)]^3 A(w) S(w) dw over the emission window, where
     A is the absorber chain and S the emitter chain, integrated on the nodes
-    of the sampled ``emitter`` spectrum.  Scales as E0^8 and as Theta^2.
+    of the sampled ``emitter`` spectrum; the excitation and absorption
+    lineshapes are unit (1 a.u.).  ``field`` is the peak electric field.
+    Scales as E0^8 and as Theta^2.
     """
     if species.d4_eg is None:
         raise ValueError(f"{species.name}: four-photon matrix element not available")
@@ -598,8 +594,8 @@ def r_trans(
             f"({emitter.delta_eg_au} a.u.) does not match species "
             f"{species.name} ({species.delta_eg.au} a.u.)"
         )
-    e0 = field.au if field.dimension == "electric-field" else _field_au(field, None)
+    e0 = _field_au(None, field)
     k = float(np.dot(emitter.weights_au,
                      emitter.amplitude * absorber.chain(emitter.omega_au)))
-    amp = theta_factor * e0**4 / (256.0 * C_AU**6) * species.d4_eg * lineshape_exc_au * k
-    return Quantity(2.0 * math.pi * lineshape_abs_au * amp**2, "au_rate")
+    amp = theta_factor * e0**4 / (256.0 * C_AU**6) * species.d4_eg * k
+    return Quantity(2.0 * math.pi * amp**2, "au_rate")

@@ -56,7 +56,6 @@ __all__ = [
     "correlation_time",
     "two_photon_decay_rate",
     "flat_correlation_closed_form",
-    "angular_distribution",
     "PoleInGridError",
     "UncalibratedProviderError",
 ]
@@ -225,6 +224,8 @@ def spectral_amplitude(
     """Sample the amplitude-level spectrum on [0, D_eg] at the nodes of an
     ``n_points``-node Gauss-Legendre rule; the weights are stored so
     downstream integrals reuse them."""
+    if n_points < 2:
+        raise ValueError(f"n_points must be >= 2, got {n_points}")
     delta = provider.delta_eg_au
     omega, weights = gauss_legendre(n_points, delta)
     for p in provider.poles():
@@ -291,10 +292,6 @@ class CorrelationTime:
     @property
     def width(self) -> Quantity:
         return Quantity(self.width_au * AU_TIME_S, "s")
-
-    @property
-    def half_width_au(self) -> float:
-        return self.width_au / 2.0
 
 
 def correlation_time(series: CorrelationSeries) -> CorrelationTime:
@@ -364,11 +361,3 @@ def _decay_rate(spec: BiphotonSpectrum) -> tuple[Quantity, Quantity]:
     gamma_au = RATE_PREFACTOR * float(np.dot(spec.weights_au, integrand))
     rate = Quantity(gamma_au / AU_TIME_S, "1/s")
     return rate, Quantity(1.0 / rate.value, "s")
-
-
-def angular_distribution(theta_rel):
-    """Normalized pair relative-angle density 3(1+cos^2)sin/8 on [0, pi]."""
-    theta = np.asarray(theta_rel, dtype=float)
-    if np.any((theta < 0) | (theta > math.pi)):
-        raise ValueError("theta must be in [0, pi]")
-    return 3.0 / 8.0 * (1.0 + np.cos(theta) ** 2) * np.sin(theta)

@@ -72,7 +72,7 @@ def cross_section(n_photons: int) -> str:
 
 
 class DimensionError(TypeError):
-    """Arithmetic or conversion between incompatible dimensions."""
+    """Conversion between incompatible dimensions."""
 
 
 class UnknownUnitError(ValueError):
@@ -131,7 +131,8 @@ def _unit(symbol: str) -> tuple[str, float]:
 
 @dataclass(frozen=True)
 class Quantity:
-    """A scalar with a unit.  Mixed-dimension arithmetic raises."""
+    """A scalar with a unit.  It converts but does no arithmetic: formulas
+    work on ``.au`` floats."""
 
     value: float
     unit: str
@@ -155,46 +156,6 @@ class Quantity:
     def au(self) -> float:
         """Value in the atomic-unit base of this dimension."""
         return self.value * _unit(self.unit)[1]
-
-    def _coerced(self, other: "Quantity") -> float:
-        if not isinstance(other, Quantity):
-            raise DimensionError(f"expected Quantity, got {type(other).__name__}")
-        if other.dimension != self.dimension:
-            raise DimensionError(
-                f"dimension mismatch: {self.dimension} vs {other.dimension}"
-            )
-        return other.to(self.unit).value
-
-    def __add__(self, other):
-        return Quantity(self.value + self._coerced(other), self.unit)
-
-    def __sub__(self, other):
-        return Quantity(self.value - self._coerced(other), self.unit)
-
-    def __mul__(self, other):
-        if isinstance(other, Quantity):
-            raise DimensionError(
-                "Quantity*Quantity is not supported; formulas work on .au floats"
-            )
-        return Quantity(self.value * float(other), self.unit)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Quantity):
-            raise DimensionError(
-                "Quantity/Quantity is not supported; formulas work on .au floats"
-            )
-        return Quantity(self.value / float(other), self.unit)
-
-    def __neg__(self):
-        return Quantity(-self.value, self.unit)
-
-    def __lt__(self, other):
-        return self.value < self._coerced(other)
-
-    def __le__(self, other):
-        return self.value <= self._coerced(other)
 
     def __repr__(self):
         return f"{self.value:.12g} {self.unit}".rstrip()

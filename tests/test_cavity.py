@@ -7,8 +7,8 @@ from biphoton.cavity import (
     Spheroid,
     THETA_PLATEAU,
     THETA_SPHERE,
+    _frames,
     angular_jacobian,
-    emission_ray,
     theta_curve,
     theta_factor_mc,
     theta_factor_quadrature,
@@ -25,39 +25,36 @@ class TestSpheroid:
             Spheroid(1.0, 2.0)
         with pytest.raises(ValueError):
             Spheroid(1.0, 0.0)
+        for a, b in [(math.inf, 1.0), (math.inf, math.inf), (math.nan, 1.0)]:
+            with pytest.raises(ValueError, match="finite"):
+                Spheroid(a, b)
 
 
 class TestEmissionRay:
+    """Ray geometry of the frames ``_frames`` builds."""
+
     def test_sphere_backreflection(self):
-        rp = emission_ray(Spheroid(1.0, 1.0), 0.7, 1.3)
-        assert np.allclose(rp.k_hat_prime, -rp.k_hat, atol=1e-12)
-        assert np.allclose(rp.eps2_prime, -rp.eps2, atol=1e-12)
+        f = _frames(Spheroid(1.0, 1.0), 0.7, 1.3)
+        assert np.allclose(f["kp"], -f["k"], atol=1e-12)
+        assert np.allclose(f["e2p"], -f["e2"], atol=1e-12)
 
     def test_symmetry_point(self):
-        rp = emission_ray(Spheroid(2.0, 1.0), math.pi / 2.0, 0.0)
-        assert rp.l_plus == pytest.approx(2.0, rel=1e-12)
-        assert rp.l_minus == pytest.approx(2.0, rel=1e-12)
+        f = _frames(Spheroid(2.0, 1.0), math.pi / 2.0, 0.0)
+        assert f["lp"] == pytest.approx(2.0, rel=1e-12)
+        assert f["lm"] == pytest.approx(2.0, rel=1e-12)
 
     def test_reflected_ray_hits_second_focus(self):
         s = Spheroid(3.0, 1.3)
         rng = np.random.default_rng(5)
-        for _ in range(100):
-            theta = rng.uniform(0.0, math.pi)
-            phi = rng.uniform(0.0, 2.0 * math.pi)
-            rp = emission_ray(s, theta, phi)
-            surface = np.array([s.b * math.sin(theta) * math.cos(phi),
-                                s.b * math.sin(theta) * math.sin(phi),
-                                s.l + s.a * math.cos(theta)])
-            # first focus sits at the origin; the second at z = 2l
-            reach = surface + rp.l_minus * rp.k_hat_prime
-            assert np.allclose(reach, [0.0, 0.0, 2.0 * s.l], atol=1e-12)
-
-    def test_domain_checks(self):
-        s = Spheroid(2.0, 1.0)
-        with pytest.raises(ValueError):
-            emission_ray(s, -0.1, 0.0)
-        with pytest.raises(ValueError):
-            emission_ray(s, 0.5, 7.0)
+        theta = rng.uniform(0.0, math.pi, 100)
+        phi = rng.uniform(0.0, 2.0 * math.pi, 100)
+        f = _frames(s, theta, phi)
+        surface = np.stack([s.b * np.sin(theta) * np.cos(phi),
+                            s.b * np.sin(theta) * np.sin(phi),
+                            s.l + s.a * np.cos(theta)])
+        # first focus sits at the origin; the second at z = 2l
+        reach = surface + f["lm"] * f["kp"]
+        assert np.allclose(reach, [[0.0], [0.0], [2.0 * s.l]], atol=1e-12)
 
 
 class TestJacobian:

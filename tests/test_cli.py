@@ -30,6 +30,17 @@ class TestTheta:
         assert code == EXIT_CONFIG
         assert "configuration error" in err
 
+    def test_infinite_ratio_is_config_error(self, capsys):
+        code, _, err = run(["theta", "--ratio", "inf"], capsys)
+        assert code == EXIT_CONFIG
+        assert "configuration error: need finite a >= b > 0, got a=inf" in err
+
+    def test_zero_mc_samples_is_config_error(self, capsys):
+        code, out, err = run(["theta", "--ratio", "2", "--mc", "0"], capsys)
+        assert code == EXIT_CONFIG
+        assert "need n_samples >= 1000" in err
+        assert out == ""
+
 
 class TestThetaCurve:
     def test_writes_csv(self, tmp_path, capsys):
@@ -64,6 +75,15 @@ class TestSpectrumAndCorrelation:
         assert "correlation time" in stdout
         assert out.read_text().splitlines()[0] == "t_au,t_s,re,im,abs"
 
+    @pytest.mark.parametrize("command", ["spectrum", "correlation"])
+    @pytest.mark.parametrize("n_omega", ["0", "-3", "1"])
+    def test_too_few_frequency_points_names_n_points(self, command, n_omega,
+                                                     tmp_path, capsys):
+        code, _, err = run([command, "--n-omega", n_omega,
+                            "--out", str(tmp_path / "out.csv")], capsys)
+        assert code == EXIT_CONFIG
+        assert f"n_points must be >= 2, got {n_omega}" in err
+
     @pytest.mark.parametrize("n_t", ["-1", "0", "1"])
     def test_too_few_time_points_names_n_t(self, n_t, tmp_path, capsys):
         code, _, err = run(["correlation", "--n-omega", "64", "--n-t", n_t,
@@ -74,7 +94,7 @@ class TestSpectrumAndCorrelation:
     def test_unknown_species_is_config_error(self, capsys):
         code, _, err = run(["lifetime", "--species", "Unobtainium"], capsys)
         assert code == EXIT_CONFIG
-        assert "configuration error" in err
+        assert "configuration error: unknown species 'Unobtainium'" in err
 
     def test_unknown_provider_is_config_error(self, capsys):
         code, _, err = run(["lifetime", "--provider", "oracle"], capsys)
@@ -135,3 +155,12 @@ class TestRun:
         code, _, err = run(["run", "does-not-exist.json"], capsys)
         assert code == EXIT_CONFIG
         assert "configuration error" in err
+
+    def test_infinite_ratio_is_config_error(self, tmp_path, capsys):
+        # json reads Infinity as a float, which passes the ratios >= 1 check
+        scenario = tmp_path / "inf.json"
+        scenario.write_text('{"geometry": {"ratios": [Infinity]}}')
+        code, _, err = run(["run", str(scenario), "--out-dir", str(tmp_path)],
+                           capsys)
+        assert code == EXIT_CONFIG
+        assert "need finite a >= b > 0, got a=inf" in err

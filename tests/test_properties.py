@@ -28,7 +28,6 @@ from biphoton.schemes import (
     steady_state_fraction,
 )
 from biphoton.spectrum import (
-    angular_distribution,
     flat_correlation_closed_form,
     hydrogenic_scaled,
     provider_pole,
@@ -111,13 +110,6 @@ def test_flat_correlation_fourier_reciprocity(t, delta, lam):
     a = flat_correlation_closed_form(t, delta)
     b = flat_correlation_closed_form(t * lam, delta / lam)
     assert complex(a) == pytest.approx(complex(b), rel=1e-9, abs=1e-9)
-
-
-@MANY
-@given(st.floats(0.0, math.pi))
-def test_angular_distribution_bounded(theta):
-    val = float(angular_distribution(theta))
-    assert 0.0 <= val <= 3.0 / 4.0 + 1e-12
 
 
 _BASE_RATE = two_photon_decay_rate(provider_pole(HE), n_points=128)[0].value

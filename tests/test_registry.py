@@ -46,13 +46,16 @@ class TestHeLike:
         assert ratio == pytest.approx(lam**6, rel=1e-12)
 
     def test_invalid_z(self):
-        with pytest.raises(SpeciesNotFound):
+        with pytest.raises(SpeciesNotFound) as err:
             species("He-like(Z=1)")
+        assert str(err.value) == "He-like requires Z >= 2, got 1"
 
     def test_unknown_lists_names(self):
         with pytest.raises(SpeciesNotFound) as err:
             species("Xe")
         assert "He" in str(err.value)
+        # printed as is, not quoted the way KeyError prints its key
+        assert str(err.value).startswith("unknown species 'Xe'; available: [")
 
 
 class TestUserOverlay:

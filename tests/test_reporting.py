@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import sys
@@ -12,6 +13,7 @@ from biphoton import schemes as sch
 from biphoton import spectrum as spc
 from biphoton.registry import species
 from biphoton.reporting import (
+    _SCHEME_OVERRIDES,
     ReproRow,
     ReproTable,
     Scenario,
@@ -150,6 +152,11 @@ class TestScenarioSchema:
             assert got == value
         else:
             assert (got.value, got.unit) == (value, unit)
+
+    def test_every_config_field_has_an_override_key(self):
+        # a SchemeConfig field no scenario key sets is config nothing varies
+        fields = {f.name for f in dataclasses.fields(sch.SchemeConfig)} - {"scheme"}
+        assert fields == {name for name, _unit in _SCHEME_OVERRIDES.values()}
 
 
 class TestReproTable:

@@ -8,7 +8,6 @@ from biphoton.spectrum import (
     PoleChain,
     PoleInGridError,
     UncalibratedProviderError,
-    angular_distribution,
     correlation_function,
     correlation_time,
     flat_correlation_closed_form,
@@ -82,7 +81,6 @@ class TestCorrelation:
         tau = correlation_time(correlation_function(spec))
         assert tau.width.to("s").value == pytest.approx(2.0057e-16, rel=1e-3)
         assert tau.width.to("s").value == pytest.approx(1.93e-16, rel=0.25)
-        assert tau.half_width_au == pytest.approx(tau.width_au / 2.0)
 
     def test_two_time_points_give_symmetric_grid(self):
         spec = spectral_amplitude(provider_pole(HE), n_points=64)
@@ -154,18 +152,3 @@ class TestTabulated:
         assert np.allclose(two.chain_sum(omega),
                            tab.chain_sum(omega) + one.chain_sum(omega), rtol=1e-12)
         assert two.poles() == tab.poles() + one.poles()
-
-
-class TestAngularDistribution:
-    def test_normalized(self):
-        theta = np.linspace(0.0, math.pi, 20001)
-        total = np.trapezoid(angular_distribution(theta), theta)
-        assert total == pytest.approx(1.0, rel=1e-8)
-
-    def test_shape(self):
-        assert angular_distribution(0.0) == 0.0
-        assert angular_distribution(math.pi / 2.0) == pytest.approx(3.0 / 8.0)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            angular_distribution(-0.1)

@@ -5,7 +5,6 @@ import pytest
 from biphoton.units import (
     AU_TIME_S,
     DimensionError,
-    HARTREE_EV,
     Quantity,
     UnknownUnitError,
     atoms_in_focal_volume,
@@ -46,23 +45,6 @@ class TestConvert:
             q = Quantity(3.14159, a)
             back = q.to(b).to(a)
             assert back.value == pytest.approx(q.value, rel=1e-12), (a, b)
-
-
-class TestArithmetic:
-    def test_add_same_dimension(self):
-        total = Quantity(1.0, "eV") + Quantity(1.0, "hartree")
-        assert total.value == pytest.approx(1.0 + HARTREE_EV, rel=1e-12)
-
-    def test_add_mismatch_raises(self):
-        with pytest.raises(DimensionError):
-            Quantity(1.0, "eV") + Quantity(1.0, "s")
-
-    def test_scalar_multiply(self):
-        assert (2.0 * Quantity(3.0, "eV")).value == 6.0
-
-    def test_quantity_multiply_raises(self):
-        with pytest.raises(DimensionError):
-            Quantity(1.0, "eV") * Quantity(1.0, "eV")
 
 
 class TestIntensityToField:
