@@ -62,6 +62,9 @@ __all__ = [
 
 RATE_PREFACTOR = 4.0 / (27.0 * math.pi * C_AU**6)
 
+# rows of e^{i t w} that correlation_function forms at once
+_BLOCK_ROWS = 32
+
 
 class PoleInGridError(ValueError):
     pass
@@ -262,26 +265,41 @@ def correlation_function(
     """Fourier transform of the amplitude-level spectrum, normalized to C(0)=1.
 
     The time grid is uniform on [-t_max_au, t_max_au] with ``n_t | 1`` points
-    (odd, so it contains t = 0).  The frequency grid must resolve the fastest
-    oscillation e^{i w t_max}: the largest node gap must stay below a quarter
-    period, else the transform is silently wrong, so this raises instead.
+    (odd, so it contains t = 0); ``t_max_au`` must be finite and positive.
+    The frequency grid must resolve the fastest oscillation e^{i w t_max}:
+    the largest node gap must stay below a quarter period, else the transform
+    is silently wrong, so this raises instead.
+
+    The amplitude is real, so C(-t) = conj C(t): only the half grid
+    0 <= t <= t_max_au is transformed, and the t < 0 half is its mirror,
+    t -> -t and C -> conj C.  The half grid is transformed in blocks of
+    ``_BLOCK_ROWS`` rows of e^{i t w}, so memory grows with the number of
+    frequency nodes and not with ``n_t``.  A trailing one-row block is merged
+    into the block before it: BLAS takes another path for a single row and
+    rounds that row differently.
     """
+    if not (math.isfinite(t_max_au) and t_max_au > 0):
+        raise ValueError(f"t_max_au must be finite and > 0, got {t_max_au}")
     if n_t < 2:
         raise ValueError(f"n_t must be >= 2, got {n_t}: the time grid needs "
                          "points on both sides of t = 0")
-    t = np.linspace(-t_max_au, t_max_au, n_t | 1)
-    tmax = abs(t_max_au)
     max_gap = float(np.max(np.diff(spectrum.omega_au)))
-    if tmax > 0 and max_gap * tmax > math.pi / 2.0:
+    if max_gap * t_max_au > math.pi / 2.0:
         raise ValueError(
-            f"frequency grid too coarse for |t| <= {tmax}: node gap {max_gap:.3e} "
-            f"exceeds the quarter-period pi/(2*t_max) = {math.pi / 2 / tmax:.3e}"
+            f"frequency grid too coarse for |t| <= {t_max_au}: node gap {max_gap:.3e} "
+            f"exceeds the quarter-period pi/(2*t_max) = {math.pi / 2 / t_max_au:.3e}"
         )
     wf = spectrum.weights_au * spectrum.amplitude
-    c = np.exp(1j * np.outer(t, spectrum.omega_au)) @ wf
     c0 = float(np.sum(wf))
     if c0 == 0.0:
         raise ValueError("spectrum integrates to zero; cannot normalize C(0)=1")
+    half = np.linspace(0.0, t_max_au, (n_t | 1) // 2 + 1)
+    c_half = np.empty(half.size, dtype=complex)
+    edges = [0, *range(_BLOCK_ROWS, half.size - 1, _BLOCK_ROWS), half.size]
+    for i, j in zip(edges[:-1], edges[1:]):
+        c_half[i:j] = np.exp(1j * np.outer(half[i:j], spectrum.omega_au)) @ wf
+    t = np.concatenate((-half[:0:-1], half))
+    c = np.concatenate((np.conj(c_half[:0:-1]), c_half))
     return CorrelationSeries(t_au=t, values=c / c0)
 
 

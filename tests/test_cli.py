@@ -91,6 +91,15 @@ class TestSpectrumAndCorrelation:
         assert code == EXIT_CONFIG
         assert "n_t must be >= 2" in err
 
+    @pytest.mark.parametrize("t_max", ["nan", "inf", "0", "-40"])
+    def test_bad_t_max_names_t_max_au(self, t_max, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        code, _, err = run(["correlation", "--n-omega", "64", "--tmax-au", t_max,
+                            "--out", str(out)], capsys)
+        assert code == EXIT_CONFIG
+        assert f"t_max_au must be finite and > 0, got {float(t_max)}" in err
+        assert not out.exists()
+
     def test_unknown_species_is_config_error(self, capsys):
         code, _, err = run(["lifetime", "--species", "Unobtainium"], capsys)
         assert code == EXIT_CONFIG
@@ -164,3 +173,14 @@ class TestRun:
                            capsys)
         assert code == EXIT_CONFIG
         assert "need finite a >= b > 0, got a=inf" in err
+
+    def test_nan_t_max_is_config_error(self, tmp_path, capsys):
+        # json reads NaN as a float, which passes the "number" schema check
+        scenario = tmp_path / "nan.json"
+        scenario.write_text('{"geometry": {"ratios": [1.0]}, '
+                            '"spectrum": {"n_omega": 64, "t_max_au": NaN}}')
+        code, _, err = run(["run", str(scenario), "--out-dir", str(tmp_path)],
+                           capsys)
+        assert code == EXIT_CONFIG
+        assert "t_max_au must be finite and > 0, got nan" in err
+        assert not (tmp_path / "fig2.csv").exists()

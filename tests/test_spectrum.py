@@ -1,10 +1,13 @@
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from biphoton.registry import species
 from biphoton.spectrum import (
+    _BLOCK_ROWS,
     PoleChain,
     PoleInGridError,
     UncalibratedProviderError,
@@ -67,8 +70,41 @@ class TestCorrelation:
 
     def test_hermitian_symmetry(self):
         spec = spectral_amplitude(provider_pole(HE))
-        c = correlation_function(spec).values
-        assert np.allclose(c, np.conj(c[::-1]), atol=1e-10)
+        series = correlation_function(spec)
+        np.testing.assert_array_equal(series.t_au, -series.t_au[::-1])
+        np.testing.assert_array_equal(series.values, np.conj(series.values[::-1]))
+
+    # half grids of B-1, B, B+1 and 2B+1 rows for blocks of B rows, and the
+    # two-row half grid of n_t = 2 and 3
+    @pytest.mark.parametrize("n_t", [2, 3, 2 * _BLOCK_ROWS - 4, 2 * _BLOCK_ROWS - 2,
+                                     2 * _BLOCK_ROWS, 4 * _BLOCK_ROWS])
+    def test_block_boundaries_match_direct_transform(self, n_t):
+        t_max = 7.3
+        spec = spectral_amplitude(provider_pole(HE), n_points=64)
+        series = correlation_function(spec, t_max_au=t_max, n_t=n_t)
+        m = (n_t | 1) // 2
+        exact = [float(Fraction(t_max) * k / m) for k in range(-m, m + 1)]
+        np.testing.assert_allclose(series.t_au, exact, rtol=1e-15, atol=0)
+        # linspace forms k*step - t_max, which cancels near t = 0, so its
+        # values there carry an absolute error of about an ulp of t_max
+        np.testing.assert_allclose(series.t_au, np.linspace(-t_max, t_max, n_t | 1),
+                                   rtol=1e-15, atol=1e-15 * t_max)
+        wf = spec.weights_au * spec.amplitude
+        direct = np.exp(1j * np.outer(series.t_au, spec.omega_au)) @ wf / np.sum(wf)
+        np.testing.assert_allclose(series.values, direct, rtol=0, atol=1e-15)
+
+    def test_memory_does_not_grow_with_n_t(self):
+        """A 65537 x 512 transform, 537 MB as one complex matrix, runs in
+        a few MB."""
+        spec = spectral_amplitude(provider_pole(HE), n_points=512)
+        tracemalloc.start()
+        try:
+            series = correlation_function(spec, t_max_au=40.0, n_t=65536)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert series.t_au.size == 65537
+        assert peak < 32 * 2**20
 
     def test_flat_closed_form_oracle(self):
         spec = spectral_amplitude(provider_flat(HE), n_points=4096)
