@@ -74,18 +74,27 @@ class Spheroid:
         return self.a / self.b
 
 
-def _frames(s: Spheroid, theta, phi):
-    """Vectorized ray/polarization frames; returns a dict of arrays."""
+def _pol_basis(s: Spheroid, theta, phi):
+    """Polarization basis (e1, e2, e2', L+, L-) at each point; e1' = e1."""
     a, b, l = s.a, s.b, s.l
     st, ct = np.sin(theta), np.cos(theta)
     sp, cp = np.sin(phi), np.cos(phi)
     lp = np.sqrt(b * b * st * st + (l + a * ct) ** 2)
     lm = np.sqrt(b * b * st * st + (l - a * ct) ** 2)
-    k = np.stack([b * st * cp, b * st * sp, l + a * ct]) / lp
-    kp = np.stack([-b * st * cp, -b * st * sp, l - a * ct]) / lm
     e1 = np.stack([-sp, cp, np.zeros_like(sp + st)])
     e2 = np.stack([-(l + a * ct) * cp, -(l + a * ct) * sp, b * st]) / lp
     e2p = np.stack([(a * ct - l) * cp, (a * ct - l) * sp, -b * st]) / lm
+    return e1, e2, e2p, lp, lm
+
+
+def _frames(s: Spheroid, theta, phi):
+    """Vectorized ray/polarization frames; returns a dict of arrays."""
+    a, b, l = s.a, s.b, s.l
+    st, ct = np.sin(theta), np.cos(theta)
+    sp, cp = np.sin(phi), np.cos(phi)
+    e1, e2, e2p, lp, lm = _pol_basis(s, theta, phi)
+    k = np.stack([b * st * cp, b * st * sp, l + a * ct]) / lp
+    kp = np.stack([-b * st * cp, -b * st * sp, l - a * ct]) / lm
     return {"k": k, "kp": kp, "e1": e1, "e2": e2, "e1p": e1, "e2p": e2p,
             "lp": lp, "lm": lm}
 
@@ -106,11 +115,19 @@ def angular_jacobian(s: Spheroid, theta):
 
 def _pol_tensor_sum(s: Spheroid, theta, phi, convention: str):
     """sum_i sigma_i eps_i (x) eps_i' at each point; shape (3, 3, ...)."""
-    f = _frames(s, theta, phi)
+    e1, e2, e2p, _lp, _lm = _pol_basis(s, theta, phi)
     sign_s = -1.0 if convention == "physical" else 1.0
-    return sign_s * np.einsum("a...,b...->ab...", f["e1"], f["e1p"]) + np.einsum(
-        "a...,b...->ab...", f["e2"], f["e2p"]
+    return sign_s * np.einsum("a...,b...->ab...", e1, e1) + np.einsum(
+        "a...,b...->ab...", e2, e2p
     )
+
+
+def _pol_tensor_mean(s: Spheroid, theta, phi, convention: str) -> np.ndarray:
+    """Mean of ``_pol_tensor_sum`` over 1-D points, as two (3, n) @ (n, 3)
+    matrix products instead of a (3, 3, n) tensor."""
+    e1, e2, e2p, _lp, _lm = _pol_basis(s, theta, phi)
+    sign_s = -1.0 if convention == "physical" else 1.0
+    return (sign_s * e1 @ e1.T + e2 @ e2p.T) / len(theta)
 
 
 def _check_convention(convention: str):
@@ -223,8 +240,7 @@ def theta_factor_mc(
         u = rng.random(sizes[b])
         theta = np.interp(u, cdf, th_grid)
         phi = rng.random(sizes[b]) * 2.0 * math.pi
-        t = _pol_tensor_sum(s, theta, phi, convention)
-        return t.mean(axis=-1)
+        return _pol_tensor_mean(s, theta, phi, convention)
 
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         means = np.stack(list(pool.map(run_batch, range(_BATCHES))))  # (batch, 3, 3)

@@ -33,7 +33,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import jv
 
 from .quadrature import gauss_legendre
 from .registry import SpeciesData
@@ -342,8 +341,12 @@ def flat_correlation_closed_form(t_au, delta_au: float):
 
     whose t=0 value is D^7/140.  The returned value is normalized by that, so
     the envelope is Gamma(9/2)*(2/z)^{7/2}*J_{7/2}(z) with limit 1 at z -> 0.
-    Used as the analytic oracle for the flat provider's correlation.
+    Used as the analytic oracle for the flat provider's correlation; scipy is
+    imported here, on the first call, so that ``import biphoton`` needs numpy
+    only.
     """
+    from scipy.special import jv
+
     t = np.asarray(t_au, dtype=float)
     z = np.abs(t) * delta_au / 2.0
     small = z < 1e-8

@@ -8,6 +8,8 @@ from biphoton.cavity import (
     THETA_PLATEAU,
     THETA_SPHERE,
     _frames,
+    _pol_tensor_mean,
+    _pol_tensor_sum,
     angular_jacobian,
     theta_curve,
     theta_factor_mc,
@@ -131,6 +133,18 @@ class TestThetaMC:
         a = theta_factor_mc(s, 50_000, seed=11, n_workers=1)
         b = theta_factor_mc(s, 50_000, seed=11, n_workers=4)
         assert a[0] == b[0]
+
+    @pytest.mark.parametrize("convention", ["physical", "printed"])
+    @pytest.mark.parametrize("ratio", [1.0, 3.0, 148.0])
+    def test_batch_mean_matches_tensor_mean(self, ratio, convention):
+        rng = np.random.default_rng(3)
+        theta = rng.uniform(0.0, math.pi, 5000)
+        phi = rng.uniform(0.0, 2.0 * math.pi, 5000)
+        s = Spheroid(ratio, 1.0)
+        got = _pol_tensor_mean(s, theta, phi, convention)
+        ref = _pol_tensor_sum(s, theta, phi, convention).mean(axis=-1)
+        assert got.shape == (3, 3)
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-14)
 
     @pytest.mark.parametrize("n_workers", [0, -2])
     def test_worker_count_must_be_positive(self, n_workers):

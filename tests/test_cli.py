@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -184,3 +188,24 @@ class TestRun:
         assert code == EXIT_CONFIG
         assert "t_max_au must be finite and > 0, got nan" in err
         assert not (tmp_path / "fig2.csv").exists()
+
+
+def test_cli_paths_do_not_import_scipy(tmp_path):
+    """scipy serves only the Bessel oracle, so a fresh process that imports
+    biphoton and runs these commands loads no scipy module."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = f"""
+import json, sys
+from biphoton.cli import main
+from biphoton.reporting import bundled_scenario_path
+for argv in (["run", str(bundled_scenario_path()), "--out-dir", {str(tmp_path)!r}],
+             ["theta", "--ratio", "2", "--mc", "1000"],
+             ["rates", "sequential"]):
+    assert main(argv) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
