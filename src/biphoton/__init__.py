@@ -39,10 +39,8 @@ from .spectrum import (
     BiphotonSpectrum,
     CorrelationSeries,
     CorrelationTime,
-    DipoleChainProvider,
     FlatChain,
     PoleChain,
-    ScaledChain,
     correlation_function,
     correlation_time,
     flat_correlation_closed_form,

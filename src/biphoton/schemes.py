@@ -94,8 +94,8 @@ ENTANGLEMENT_AREA_CM2 = 1e-8                        # etpa: A_e
 
 
 def _positive(name, value):
-    if value is not None and not value > 0:
-        raise ValueError(f"{name} must be positive, got {value}")
+    if value is not None and not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -127,17 +127,17 @@ class SchemeConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; one of {SCHEMES}")
-        if self.intensity.value < 0:
-            raise ValueError("intensity must be >= 0")
+        if not (math.isfinite(self.intensity.value) and self.intensity.value >= 0):
+            raise ValueError(f"intensity must be finite and >= 0, got {self.intensity}")
         for name in ("spot_diameter", "path_length", "pulse_duration", "tau_2p"):
             _positive(name, getattr(self, name).value)
-        _positive("pressure_bar", self.pressure_bar)
-        _positive("temperature_k", self.temperature_k)
-        _positive("lineshape_factor_au", self.lineshape_factor_au)
-        _positive("repetition_rate_hz", self.repetition_rate_hz)
+        for name in ("pressure_bar", "temperature_k", "lineshape_factor_au",
+                     "repetition_rate_hz", "n_atoms", "molecules", "photon_rate_hz"):
+            _positive(name, getattr(self, name))
         if self.scheme in _NEEDS_BANDWIDTH:
-            if self.bandwidth is None or not self.bandwidth.value > 0:
-                raise ValueError(f"scheme {self.scheme!r} requires a positive bandwidth")
+            if self.bandwidth is None:
+                raise ValueError(f"scheme {self.scheme!r} requires a bandwidth")
+            _positive("bandwidth", self.bandwidth.value)
         elif self.bandwidth is not None:
             raise ValueError(f"scheme {self.scheme!r} does not take a bandwidth")
         if not 0 <= self.excitation_fraction <= 1:
@@ -181,36 +181,25 @@ class RateReport:
         )
 
 
-def _field_au(intensity: Quantity | None, field_q: Quantity | None) -> float:
-    if (intensity is None) == (field_q is None):
-        raise ValueError("give exactly one of intensity or field")
-    if field_q is not None:
-        if field_q.dimension != "electric-field":
-            raise ValueError(f"field must be an electric field, got {field_q.dimension}")
-        return field_q.au
-    return intensity_to_field(intensity).au
+def _field_au(field_q: Quantity) -> float:
+    if field_q.dimension != "electric-field":
+        raise ValueError(f"field must be an electric field, got {field_q.dimension}")
+    return field_q.au
 
 
-def four_photon_rabi(
-    species: SpeciesData,
-    intensity: Quantity | None = None,
-    field: Quantity | None = None,
-) -> Quantity:
-    """Four-photon Rabi frequency (E0/2)^4 * D4, atomic units."""
+def four_photon_rabi(species: SpeciesData, field: Quantity) -> Quantity:
+    """Four-photon Rabi frequency (E0/2)^4 * D4 at peak field E0, atomic units."""
     if species.d4_eg is None:
         raise ValueError(f"{species.name}: four-photon matrix element not available")
-    e0 = _field_au(intensity, field)
+    e0 = _field_au(field)
     return Quantity((e0 / 2.0) ** 4 * species.d4_eg, "au_angular_frequency")
 
 
 def four_photon_rate(
-    species: SpeciesData,
-    intensity: Quantity | None = None,
-    field: Quantity | None = None,
-    lineshape_factor_au: float = 1.0,
+    species: SpeciesData, field: Quantity, lineshape_factor_au: float = 1.0
 ) -> Quantity:
     """Resonant per-atom four-photon transition rate 2*pi*L*[(E0/2)^4 D4]^2 (a.u.)."""
-    omega4 = four_photon_rabi(species, intensity=intensity, field=field).au
+    omega4 = four_photon_rabi(species, field).au
     return Quantity(2.0 * math.pi * lineshape_factor_au * omega4**2, "au_rate")
 
 
@@ -254,7 +243,7 @@ def _narrowband_steps(config: SchemeConfig, species: SpeciesData):
     density = number_density(config.pressure_bar, config.temperature_k)
     flux = photon_flux(config.intensity, PUMP_PHOTON_ENERGY, config.spot_diameter)
     r4 = four_photon_rate(
-        species, intensity=config.intensity,
+        species, intensity_to_field(config.intensity),
         lineshape_factor_au=config.lineshape_factor_au,
     )
     alpha = absorption_coefficient(
@@ -448,7 +437,8 @@ def scrap_transfer_probability(config: SchemeConfig, species: SpeciesData) -> Sc
     delta_hz = config.bandwidth.to("Hz").value
     omega_eg_hz = (
         2.0 * math.pi
-        * four_photon_rabi(species, intensity=config.intensity).au / AU_TIME_S
+        * four_photon_rabi(species, intensity_to_field(config.intensity)).au
+        / AU_TIME_S
     )
     omega_hz = math.sqrt(omega_eg_hz**2 + (delta_hz / 2.0) ** 2)
     tau = config.pulse_duration
@@ -594,7 +584,7 @@ def r_trans(
             f"({emitter.delta_eg_au} a.u.) does not match species "
             f"{species.name} ({species.delta_eg.au} a.u.)"
         )
-    e0 = _field_au(None, field)
+    e0 = _field_au(field)
     k = float(np.dot(emitter.weights_au,
                      emitter.amplitude * absorber.chain(emitter.omega_au)))
     amp = theta_factor * e0**4 / (256.0 * C_AU**6) * species.d4_eg * k

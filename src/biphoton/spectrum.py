@@ -6,11 +6,13 @@ dipole chain
     S(w) = sum_j d_gj d_je [1/(w - D_ej) + 1/(D_jg - w)],
 
 which is symmetric about half the level gap (S(w) = S(D_eg - w)) because the
-two denominators swap under w -> D_eg - w.  Providers supply S(w) in atomic
-units: the pole chain holds one (d_gj d_je, D_jg) term per intermediate state
-(the registry species give one term), and the flat provider is an
-uncalibrated baseline whose Fourier transform has a closed form used as a
-test oracle.
+two denominators swap under w -> D_eg - w.  Two providers supply S(w) in
+atomic units.  ``PoleChain`` holds one (d_gj d_je, D_jg) term per
+intermediate state (the registry species give one term); it is the only
+calibrated chain, and ``hydrogenic_scaled`` maps it to the pole chain of a
+He-like ion with another nuclear charge.  ``FlatChain`` is an uncalibrated
+baseline whose Fourier transform has a closed form used as a test oracle;
+the decay rate rejects it.
 
 The amplitude-level spectrum is f(w) = [w(D_eg - w)]^3 S(w); the correlation
 function is its Fourier transform over [0, D_eg], normalized to C(0) = 1.
@@ -29,7 +31,6 @@ counted twice; the prefactor carries the compensating 1/2).
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,10 +40,8 @@ from .registry import SpeciesData
 from .units import AU_TIME_S, C_AU, HARTREE_EV, Quantity
 
 __all__ = [
-    "DipoleChainProvider",
     "FlatChain",
     "PoleChain",
-    "ScaledChain",
     "BiphotonSpectrum",
     "CorrelationSeries",
     "CorrelationTime",
@@ -73,40 +72,21 @@ class UncalibratedProviderError(ValueError):
     pass
 
 
-class DipoleChainProvider(ABC):
-    """Source of the intermediate-state sum S(w) (atomic units)."""
-
-    delta_eg_au: float          # level gap D_eg in hartree
-    calibrated: bool
-
-    @abstractmethod
-    def chain_sum(self, omega_au):
-        """S(w) for w in hartree; accepts scalars or arrays."""
-
-    def poles(self) -> tuple[float, ...]:
-        """Pole locations of S(w) in hartree (may be empty)."""
-        return ()
-
-    def label(self) -> str:
-        return type(self).__name__
-
-
 @dataclass(frozen=True)
-class FlatChain(DipoleChainProvider):
+class FlatChain:
     """S(w) = 1; uncalibrated analytic baseline."""
 
-    delta_eg_au: float
-    calibrated = False
+    delta_eg_au: float          # level gap D_eg in hartree
 
     def chain_sum(self, omega_au):
         return np.ones_like(np.asarray(omega_au, dtype=float))
 
-    def label(self) -> str:
-        return "flat"
+    def poles(self) -> tuple[float, ...]:
+        return ()
 
 
 @dataclass(frozen=True)
-class PoleChain(DipoleChainProvider):
+class PoleChain:
     """Sum over intermediate states j, one ``(strength, D_jg)`` term each.
 
     Each term contributes strength*[1/(w - D_ej) + 1/(D_jg - w)] with
@@ -115,7 +95,6 @@ class PoleChain(DipoleChainProvider):
 
     delta_eg_au: float
     terms: tuple[tuple[float, float], ...]
-    calibrated = True
 
     def chain_sum(self, omega_au):
         omega = np.asarray(omega_au, dtype=float)
@@ -127,47 +106,6 @@ class PoleChain(DipoleChainProvider):
 
     def poles(self) -> tuple[float, ...]:
         return tuple(p for _, djg in self.terms for p in (self.delta_eg_au - djg, djg))
-
-    def label(self) -> str:
-        return "pole"
-
-
-@dataclass(frozen=True)
-class ScaledChain(DipoleChainProvider):
-    """Hydrogenic scaling transform of another chain.
-
-    For a charge ratio lam, energies scale by lam^2 and dipole chains by
-    1/lam^4:  S'(w) = S(w/lam^2)/lam^4, D'_eg = lam^2 D_eg.  Under this
-    transform the two-photon rate scales by exactly lam^6.
-    """
-
-    base: DipoleChainProvider
-    charge_ratio: float
-
-    def __post_init__(self):
-        if not self.charge_ratio > 0:
-            raise ValueError("charge_ratio must be positive")
-
-    @property
-    def calibrated(self):  # type: ignore[override]
-        return self.base.calibrated
-
-    @property
-    def _e(self) -> float:
-        return self.charge_ratio**2
-
-    def chain_sum(self, omega_au):
-        return self.base.chain_sum(np.asarray(omega_au, dtype=float) / self._e) / self._e**2
-
-    @property
-    def delta_eg_au(self) -> float:  # type: ignore[override]
-        return self.base.delta_eg_au * self._e
-
-    def poles(self) -> tuple[float, ...]:
-        return tuple(p * self._e for p in self.base.poles())
-
-    def label(self) -> str:
-        return f"scaled({self.base.label()}, x{self.charge_ratio})"
 
 
 def provider_flat(species: SpeciesData) -> FlatChain:
@@ -196,17 +134,26 @@ def provider_pole(species: SpeciesData) -> PoleChain:
 PROVIDERS = {"pole": provider_pole, "flat": provider_flat}
 
 
-def hydrogenic_scaled(
-    provider: DipoleChainProvider, charge_ratio: float
-) -> ScaledChain:
-    return ScaledChain(base=provider, charge_ratio=charge_ratio)
+def hydrogenic_scaled(provider: PoleChain, charge_ratio: float) -> PoleChain:
+    """Hydrogenic scaling of a pole chain by the charge ratio lam.
+
+    Energies scale by e = lam^2 and dipole chains by 1/lam^4:
+    S'(w) = S(w/e)/e^2 and D'_eg = e*D_eg.  Term by term this is again a pole
+    chain, (strength, D_jg) -> (strength/e, e*D_jg), and the two-photon rate
+    scales by exactly lam^6.
+    """
+    if not charge_ratio > 0:
+        raise ValueError("charge_ratio must be positive")
+    e = charge_ratio**2
+    return PoleChain(delta_eg_au=provider.delta_eg_au * e,
+                     terms=tuple((s / e, djg * e) for s, djg in provider.terms))
 
 
 @dataclass(frozen=True)
 class BiphotonSpectrum:
     """Amplitude f(w) = [w(D-w)]^3 S(w) sampled on Gauss-Legendre nodes."""
 
-    provider: DipoleChainProvider
+    provider: FlatChain | PoleChain
     omega_au: np.ndarray
     weights_au: np.ndarray
     amplitude: np.ndarray
@@ -221,7 +168,7 @@ class BiphotonSpectrum:
 
 
 def spectral_amplitude(
-    provider: DipoleChainProvider, n_points: int = 2048
+    provider: FlatChain | PoleChain, n_points: int = 2048
 ) -> BiphotonSpectrum:
     """Sample the amplitude-level spectrum on [0, D_eg] at the nodes of an
     ``n_points``-node Gauss-Legendre rule; the weights are stored so
@@ -358,7 +305,7 @@ def flat_correlation_closed_form(t_au, delta_au: float):
 
 
 def two_photon_decay_rate(
-    provider: DipoleChainProvider, n_points: int = 2048
+    provider: FlatChain | PoleChain, n_points: int = 2048
 ) -> tuple[Quantity, Quantity]:
     """Two-photon decay rate and lifetime from a calibrated chain.
 
@@ -366,9 +313,9 @@ def two_photon_decay_rate(
     prefactor carries the isotropic 1/3 contraction squared, the mode-density
     factors, and the 1/2 for photon exchange over the full-range integral.
     """
-    if not provider.calibrated:
+    if isinstance(provider, FlatChain):
         raise UncalibratedProviderError(
-            f"provider {provider.label()!r} is not calibrated in absolute a.u."
+            "provider 'flat' is not calibrated in absolute a.u."
         )
     return _decay_rate(spectral_amplitude(provider, n_points=n_points))
 

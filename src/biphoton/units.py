@@ -66,11 +66,6 @@ RATE = "rate"
 DIMENSIONLESS = "dimensionless"
 
 
-def cross_section(n_photons: int) -> str:
-    """Dimension tag for an n-photon cross-section."""
-    return f"cross-section-{n_photons}-photon"
-
-
 class DimensionError(TypeError):
     """Conversion between incompatible dimensions."""
 
@@ -92,7 +87,6 @@ _UNITS: dict[str, tuple[str, float]] = {
     "ns": (TIME, 1e-9 / AU_TIME_S),
     # length (base: bohr)
     "bohr": (LENGTH, 1.0),
-    "m": (LENGTH, 1.0 / BOHR_M),
     "cm": (LENGTH, 1e-2 / BOHR_M),
     "mm": (LENGTH, 1e-3 / BOHR_M),
     "um": (LENGTH, 1e-6 / BOHR_M),
@@ -105,18 +99,13 @@ _UNITS: dict[str, tuple[str, float]] = {
     # frequency, ordinary cycles (base: 1/a.u. time)
     "au_frequency": (FREQUENCY, 1.0),
     "Hz": (FREQUENCY, AU_TIME_S),
-    "THz": (FREQUENCY, 1e12 * AU_TIME_S),
     # angular frequency == energy with hbar=1 (base: a.u.)
     "au_angular_frequency": (ANGULAR_FREQUENCY, 1.0),
-    "rad/s": (ANGULAR_FREQUENCY, AU_TIME_S),
     # rate (base: 1/a.u. time)
     "au_rate": (RATE, 1.0),
     "1/s": (RATE, AU_TIME_S),
     # dimensionless
     "": (DIMENSIONLESS, 1.0),
-    # cross sections, kept in their customary CGS units
-    "cm^2": (cross_section(1), 1.0),
-    "cm^4 s": (cross_section(2), 1.0),
 }
 
 

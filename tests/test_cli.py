@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -114,6 +115,13 @@ class TestSpectrumAndCorrelation:
         assert code == EXIT_CONFIG
         assert "configuration error" in err
 
+    def test_flat_lifetime_is_config_error(self, capsys):
+        code, out, err = run(["lifetime", "--provider", "flat"], capsys)
+        assert code == EXIT_CONFIG
+        assert err == ("configuration error: provider 'flat' is not "
+                       "calibrated in absolute a.u.\n")
+        assert out == ""
+
     def test_lifetime(self, capsys):
         code, out, _ = run(["lifetime"], capsys)
         assert code == EXIT_OK
@@ -129,6 +137,26 @@ class TestRates:
         report = json.loads(out)
         assert report["scheme"] == scheme
         assert "final_rate" in report
+
+    # json writes and reads NaN and Infinity as floats, which pass the
+    # "number" schema check
+    @pytest.mark.parametrize("scheme, key, value", [
+        ("etpa", "molecules", math.nan),
+        ("etpa", "molecules", -1e12),
+        ("etpa", "photon_rate_hz", -1e12),
+        ("narrowband-4photon", "intensity_wcm2", math.nan),
+        ("narrowband-4photon", "intensity_wcm2", math.inf),
+        ("broadband-4photon", "bandwidth_hz", math.inf),
+        ("scrap", "n_atoms", -1e13),
+    ])
+    def test_bad_override_is_config_error(self, scheme, key, value, tmp_path,
+                                          capsys):
+        scenario = tmp_path / "bad.json"
+        scenario.write_text(json.dumps({"schemes": {scheme: {key: value}}}))
+        code, out, err = run(["rates", scheme, "--config", str(scenario)], capsys)
+        assert code == EXIT_CONFIG
+        assert "configuration error" in err
+        assert out == ""
 
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "r.json"

@@ -34,7 +34,7 @@ from biphoton.spectrum import (
     spectral_amplitude,
     two_photon_decay_rate,
 )
-from biphoton.units import Quantity
+from biphoton.units import Quantity, intensity_to_field
 
 HE = species("He")
 MANY = settings(max_examples=1000, deadline=None)
@@ -130,11 +130,13 @@ def test_decay_rate_scales_as_lambda_six(lam):
 @MANY
 @given(st.floats(1e10, 1e16), st.floats(1.001, 100.0))
 def test_four_photon_homogeneity(i0, scale):
-    w1 = four_photon_rabi(HE, intensity=Quantity(i0, "W/cm^2")).au
-    w2 = four_photon_rabi(HE, intensity=Quantity(scale * i0, "W/cm^2")).au
+    f1 = intensity_to_field(Quantity(i0, "W/cm^2"))
+    f2 = intensity_to_field(Quantity(scale * i0, "W/cm^2"))
+    w1 = four_photon_rabi(HE, field=f1).au
+    w2 = four_photon_rabi(HE, field=f2).au
     assert w2 / w1 == pytest.approx(scale**2, rel=1e-9)
-    r1 = four_photon_rate(HE, intensity=Quantity(i0, "W/cm^2")).au
-    r2 = four_photon_rate(HE, intensity=Quantity(scale * i0, "W/cm^2")).au
+    r1 = four_photon_rate(HE, field=f1).au
+    r2 = four_photon_rate(HE, field=f2).au
     assert r2 / r1 == pytest.approx(scale**4, rel=1e-9)
 
 

@@ -169,6 +169,41 @@ class TestDecayRate:
             hydrogenic_scaled(provider_pole(HE), -1.0)
 
 
+class TestHydrogenicScaled:
+    """A scaled pole chain is the pole chain with gap lam^2 D and terms
+    (s/lam^2, lam^2 D_jg), whose sum is S(w/lam^2)/lam^4."""
+
+    @pytest.mark.parametrize("lam", [0.5, 1.5, 7.0])
+    def test_is_pole_chain_with_scaled_terms(self, lam):
+        base = provider_pole(HE)
+        scaled = hydrogenic_scaled(base, lam)
+        assert isinstance(scaled, PoleChain)
+        assert scaled.delta_eg_au == pytest.approx(lam**2 * base.delta_eg_au,
+                                                   rel=1e-15)
+        assert len(scaled.terms) == len(base.terms) == 1
+        (s, djg), = base.terms
+        (s_lam, djg_lam), = scaled.terms
+        assert s_lam == pytest.approx(s / lam**2, rel=1e-15)
+        assert djg_lam == pytest.approx(lam**2 * djg, rel=1e-15)
+
+    @pytest.mark.parametrize("lam", [0.5, 1.5, 7.0])
+    def test_chain_sum_is_rescaled_base(self, lam):
+        base = provider_pole(HE)
+        scaled = hydrogenic_scaled(base, lam)
+        omega = np.linspace(0.0, scaled.delta_eg_au, 202)[1:-1]
+        np.testing.assert_allclose(scaled.chain_sum(omega),
+                                   base.chain_sum(omega / lam**2) / lam**4,
+                                   rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("lam", [0.5, 1.5, 7.0])
+    def test_two_term_rate_scales_as_lambda_six(self, lam):
+        he = provider_pole(HE)
+        two = PoleChain(delta_eg_au=he.delta_eg_au, terms=he.terms + ((0.5, 1.5),))
+        r0, _ = two_photon_decay_rate(two, n_points=256)
+        r1, _ = two_photon_decay_rate(hydrogenic_scaled(two, lam), n_points=256)
+        assert abs(r1.value / r0.value / lam**6 - 1.0) <= 1e-12
+
+
 class TestTabulated:
     """``PoleChain`` built from a table of (strength, D_jg) terms."""
 
