@@ -14,6 +14,7 @@ from .registry import Registry, SpeciesData, SpeciesNotFound, default_registry, 
 from .reporting import ReproRow, ReproTable, Scenario, SchemaError, repro_report, run_scenario
 from .schemes import (
     AbsorberChain,
+    NonFiniteRateError,
     RateReport,
     ReportEntry,
     SchemeConfig,

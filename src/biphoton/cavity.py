@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,8 +136,16 @@ def _check_convention(convention: str):
         raise ValueError(f"convention must be 'physical' or 'printed', got {convention!r}")
 
 
+# node count -> theta rule, shared by the ratios of one theta_curve call and
+# unset outside it, so a standalone quadrature builds its own rules
+_CURVE_RULES: ContextVar[dict] = ContextVar("_CURVE_RULES")
+
+
 def _grid(n_theta: int, n_phi: int):
-    th, wth = gauss_legendre(n_theta, math.pi)
+    rules = _CURVE_RULES.get({})
+    if n_theta not in rules:
+        rules[n_theta] = gauss_legendre(n_theta, math.pi)
+    th, wth = rules[n_theta]
     ph = 2.0 * math.pi * np.arange(n_phi) / n_phi
     wph = np.full(n_phi, 2.0 * math.pi / n_phi)
     return th, wth, ph, wph
@@ -261,12 +270,19 @@ def theta_factor_mc(
 
 
 def theta_curve(ratios, rel_tol: float = 1e-7) -> list[dict]:
-    """Theta over a list of aspect ratios a/b >= 1 (quadrature)."""
-    rows = []
+    """Theta over a list of aspect ratios a/b >= 1 (quadrature).
+
+    Every ratio is checked before the first quadrature, and each level's
+    Gauss-Legendre rule is built once and shared by all ratios of the call.
+    """
+    spheroids = []
     for r in ratios:
         if r < 1:
             raise ValueError(f"aspect ratio must be >= 1, got {r}")
-        theta = theta_factor_quadrature(Spheroid(float(r), 1.0), rel_tol=rel_tol)
-        rows.append({"ratio": float(r), "theta": theta, "method": "quadrature",
-                     "stderr": 0.0})
-    return rows
+        spheroids.append(Spheroid(float(r), 1.0))
+    token = _CURVE_RULES.set({})
+    try:
+        return [{"ratio": s.a, "theta": theta_factor_quadrature(s, rel_tol=rel_tol),
+                 "method": "quadrature", "stderr": 0.0} for s in spheroids]
+    finally:
+        _CURVE_RULES.reset(token)

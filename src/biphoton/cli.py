@@ -75,6 +75,8 @@ def _cmd_theta(args) -> int:
 
 
 def _cmd_theta_curve(args) -> int:
+    if args.points < 1:
+        raise ValueError(f"--points must be >= 1, got {args.points}")
     ratios = np.geomspace(args.min, args.max, args.points)
     rows = theta_curve(ratios, rel_tol=args.rel_tol)
     path = _out_path(args.out)

@@ -59,6 +59,7 @@ __all__ = [
     "ENTANGLEMENT_AREA_CM2",
     "ReportEntry",
     "RateReport",
+    "NonFiniteRateError",
     "AbsorberChain",
     "ScrapResult",
     "four_photon_rate",
@@ -158,14 +159,28 @@ class ReportEntry:
     provenance: str
 
 
+class NonFiniteRateError(ArithmeticError):
+    """A scheme step overflowed or lost its value (inf or nan)."""
+
+
 @dataclass(frozen=True)
 class RateReport:
-    """Per-step budget with units and provenance; lossless JSON round-trip."""
+    """Per-step budget with units and provenance; lossless JSON round-trip.
+
+    Every value is finite, so the JSON is valid: a non-finite step raises
+    ``NonFiniteRateError`` naming the scheme and the step.
+    """
 
     scheme: str
     final_rate: ReportEntry
     steps: dict[str, ReportEntry]
     schema_version: int = 1
+
+    def __post_init__(self):
+        for name, entry in {**self.steps, "final_rate": self.final_rate}.items():
+            if not math.isfinite(entry.value):
+                raise NonFiniteRateError(
+                    f"{self.scheme}: step {name!r} is not finite ({entry.value})")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)

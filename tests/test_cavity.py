@@ -1,8 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from biphoton import cavity
 from biphoton.cavity import (
     Spheroid,
     THETA_PLATEAU,
@@ -156,6 +158,19 @@ class TestThetaMC:
             theta_factor_mc(Spheroid(2.0, 1.0), 10)
 
 
+@pytest.fixture
+def built_rules(monkeypatch):
+    """Node counts of the theta rules built, counted as they are built."""
+    sizes, build = Counter(), cavity.gauss_legendre
+
+    def counting(n, length):
+        sizes[n] += 1
+        return build(n, length)
+
+    monkeypatch.setattr(cavity, "gauss_legendre", counting)
+    return sizes
+
+
 class TestThetaCurve:
     def test_monotone_and_endpoints(self):
         ratios = [1, 1.5, 2, 3, 5, 8, 12, 20, 40, 80, 148]
@@ -168,3 +183,48 @@ class TestThetaCurve:
     def test_rejects_sub_unit_ratio(self):
         with pytest.raises(ValueError):
             theta_curve([0.5])
+
+    def test_checks_every_ratio_before_building_a_rule(self, built_rules):
+        for ratios in ([2.0, 0.5], [2.0, math.inf]):
+            with pytest.raises(ValueError):
+                theta_curve(ratios)
+        assert built_rules == Counter()
+
+    def test_matches_standalone_quadrature_bit_for_bit(self, built_rules):
+        ratios = np.geomspace(1.0, 148.0, 25)
+        rows = theta_curve(ratios, rel_tol=1e-9)
+        # the curve builds each level's rule once for all its ratios
+        assert built_rules and set(built_rules.values()) == {1}
+        for r, row in zip(ratios, rows):
+            assert row["ratio"] == r
+            assert row["theta"] == theta_factor_quadrature(
+                Spheroid(float(r), 1.0), rel_tol=1e-9)
+
+
+class TestRuleLifetime:
+    """The rules a theta_curve call shares live only for that call."""
+
+    def test_standalone_quadratures_build_their_own_rules(self, built_rules):
+        s = Spheroid(3.0, 1.0)
+        theta_factor_quadrature(s)
+        first = Counter(built_rules)
+        theta_factor_quadrature(s)
+        assert first and built_rules == first + first
+
+    def test_failed_curve_leaves_no_rules_behind(self, built_rules, monkeypatch):
+        quadrature, calls = cavity.theta_factor_quadrature, []
+
+        def fail_on_second(s, **kwargs):
+            calls.append(s.ratio)
+            if len(calls) == 2:
+                raise RuntimeError("stop")
+            return quadrature(s, **kwargs)
+
+        monkeypatch.setattr(cavity, "theta_factor_quadrature", fail_on_second)
+        with pytest.raises(RuntimeError, match="stop"):
+            theta_curve([2.0, 3.0])
+        assert calls == [2.0, 3.0] and built_rules
+        assert cavity._CURVE_RULES.get(None) is None
+        built_rules.clear()
+        quadrature(Spheroid(2.0, 1.0))
+        assert built_rules and set(built_rules.values()) == {1}

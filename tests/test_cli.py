@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from biphoton.cli import EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_OK, main
+from biphoton import cavity
+from biphoton.cli import EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from biphoton.reporting import bundled_scenario_path
 
 
@@ -63,6 +64,27 @@ class TestThetaCurve:
                           "--out", "c.csv"], capsys)
         assert code == EXIT_OK
         assert (tmp_path / "c.csv").exists()
+
+    def test_sub_unit_ratio_fails_before_any_quadrature(self, tmp_path, capsys,
+                                                          monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            pytest.fail("a quadrature ran before the ratios were checked")
+
+        monkeypatch.setattr(cavity, "theta_factor_quadrature", no_quadrature)
+        out = tmp_path / "curve.csv"
+        code, _, err = run(["theta-curve", "--min", "148", "--max", "0.9",
+                            "--out", str(out)], capsys)
+        assert code == EXIT_CONFIG
+        assert "aspect ratio must be >= 1, got 0.9" in err
+        assert not out.exists()
+
+    def test_zero_points_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        code, _, err = run(["theta-curve", "--points", "0", "--out", str(out)],
+                           capsys)
+        assert code == EXIT_CONFIG
+        assert "--points must be >= 1, got 0" in err
+        assert not out.exists()
 
 
 class TestSpectrumAndCorrelation:
@@ -158,6 +180,22 @@ class TestRates:
         assert "configuration error" in err
         assert out == ""
 
+    # finite overrides whose product overflows; json would print Infinity
+    @pytest.mark.parametrize("scheme, overrides, step", [
+        ("etpa", {"molecules": 1e300, "photon_rate_hz": 1e300}, "final_rate"),
+        ("narrowband-4photon", {"intensity_wcm2": 1e300}, None),
+    ])
+    def test_non_finite_result_is_numerical_error(self, scheme, overrides, step,
+                                                  tmp_path, capsys):
+        scenario = tmp_path / "huge.json"
+        scenario.write_text(json.dumps({"schemes": {scheme: overrides}}))
+        code, out, err = run(["rates", scheme, "--config", str(scenario)], capsys)
+        assert code == EXIT_NUMERICAL
+        assert "numerical error" in err
+        if step:
+            assert f"{scheme}: step {step!r} is not finite" in err
+        assert out == ""
+
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         code, _, _ = run(["rates", "etpa", "--out", str(out)], capsys)
@@ -205,6 +243,20 @@ class TestRun:
                            capsys)
         assert code == EXIT_CONFIG
         assert "need finite a >= b > 0, got a=inf" in err
+
+    def test_non_finite_rate_is_numerical_error(self, tmp_path, capsys):
+        scenario = tmp_path / "huge.json"
+        scenario.write_text(json.dumps({
+            "geometry": {"ratios": [1.0]}, "spectrum": {"n_omega": 64},
+            "schemes": {"etpa": {"molecules": 1e300, "photon_rate_hz": 1e300}}}))
+        out_dir = tmp_path / "out"
+        code, _, err = run(["run", str(scenario), "--out-dir", str(out_dir)],
+                           capsys)
+        assert code == EXIT_NUMERICAL
+        assert "etpa: step 'final_rate' is not finite" in err
+        assert not list(out_dir.glob("*.json"))
+        for path in out_dir.iterdir():
+            assert "Infinity" not in path.read_text(), path.name
 
     def test_nan_t_max_is_config_error(self, tmp_path, capsys):
         # json reads NaN as a float, which passes the "number" schema check

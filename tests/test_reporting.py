@@ -238,6 +238,12 @@ class TestRunScenario:
         *_, rule_sizes, _ = counted_run
         assert rule_sizes[Scenario.from_file(bundled_scenario_path()).n_omega] == 1
 
+    def test_each_rule_size_built_once(self, counted_run):
+        # the Theta curve shares its levels' rules across its ratios, and
+        # the repro rows read Theta(1) and Theta(148) from the curve
+        *_, rule_sizes, _ = counted_run
+        assert rule_sizes and set(rule_sizes.values()) == {1}
+
     def test_theta_once_per_curve_ratio(self, counted_run):
         *_, theta_ratios = counted_run
         ratios = Scenario.from_file(bundled_scenario_path()).ratios

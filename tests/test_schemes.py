@@ -4,7 +4,9 @@ import pytest
 
 from biphoton.registry import species
 from biphoton.schemes import (
+    NonFiniteRateError,
     RateReport,
+    ReportEntry,
     SchemeConfig,
     absorption_coefficient,
     attenuation_fraction,
@@ -211,6 +213,20 @@ class TestReportSerialization:
         rep = biphoton_rate_narrowband(SchemeConfig(scheme="narrowband-4photon"), HE)
         again = RateReport.from_json(rep.to_json())
         assert again == rep
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_step_is_rejected(self, value):
+        with pytest.raises(NonFiniteRateError,
+                           match="etpa: step 'sigma_e' is not finite") as info:
+            RateReport(scheme="etpa", final_rate=ReportEntry(1.0, "1/s", ""),
+                       steps={"sigma_e": ReportEntry(value, "cm^2", "")})
+        assert isinstance(info.value, ArithmeticError)
+
+    def test_overflowing_runner_is_rejected(self):
+        config = SchemeConfig(scheme="scrap", bandwidth=Quantity(8.8e12, "Hz"),
+                              n_atoms=1e300, repetition_rate_hz=1e300)
+        with pytest.raises(NonFiniteRateError, match="scrap: step 'final_rate'"):
+            scrap_biphoton_rate(config, HE)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="unknown scheme"):
