@@ -76,15 +76,24 @@ class Spheroid:
 
 
 def _pol_basis(s: Spheroid, theta, phi):
-    """Polarization basis (e1, e2, e2', L+, L-) at each point; e1' = e1."""
+    """Polarization basis (e1, e2, e2', L+, L-) where theta and phi broadcast
+    together; e1' = e1.
+
+    L+- and the theta factors keep theta's shape, so a column of theta nodes
+    against a row of phi nodes takes n_theta + n_phi sines and square roots.
+    """
     a, b, l = s.a, s.b, s.l
     st, ct = np.sin(theta), np.cos(theta)
     sp, cp = np.sin(phi), np.cos(phi)
-    lp = np.sqrt(b * b * st * st + (l + a * ct) ** 2)
-    lm = np.sqrt(b * b * st * st + (l - a * ct) ** 2)
-    e1 = np.stack([-sp, cp, np.zeros_like(sp + st)])
-    e2 = np.stack([-(l + a * ct) * cp, -(l + a * ct) * sp, b * st]) / lp
-    e2p = np.stack([(a * ct - l) * cp, (a * ct - l) * sp, -b * st]) / lm
+    zp, zm = l + a * ct, a * ct - l
+    lp = np.sqrt(b * b * st * st + zp**2)
+    lm = np.sqrt(b * b * st * st + zm**2)
+    e1, e2, e2p = np.empty((3, 3, *np.broadcast_shapes(np.shape(st), np.shape(sp))))
+    e1[0], e1[1], e1[2] = -sp, cp, 0.0
+    e2[0], e2[1], e2[2] = -zp * cp, -zp * sp, b * st
+    e2p[0], e2p[1], e2p[2] = zm * cp, zm * sp, -b * st
+    e2 /= lp
+    e2p /= lm
     return e1, e2, e2p, lp, lm
 
 
@@ -153,9 +162,8 @@ def _grid(n_theta: int, n_phi: int):
 
 def _theta_on_grid(s: Spheroid, n_theta: int, n_phi: int, convention: str) -> float:
     th, wth, ph, wph = _grid(n_theta, n_phi)
-    tt, pp = np.meshgrid(th, ph, indexing="ij")
-    w = np.outer(wth, wph) * angular_jacobian(s, tt)
-    t = _pol_tensor_sum(s, tt, pp, convention)
+    w = np.outer(wth, wph) * angular_jacobian(s, th)[:, None]
+    t = _pol_tensor_sum(s, th[:, None], ph[None, :], convention)
     m = np.einsum("abxy,xy->ab", t, w)
     return float((m * m).sum()) / 9.0
 
@@ -219,6 +227,7 @@ def _theta_cdf(s: Spheroid, n: int = 8192):
 
 
 _BATCHES = 32
+_SLICE = 2**15  # draws evaluated at once; bounds a batch's working memory
 
 
 def theta_factor_mc(
@@ -234,6 +243,8 @@ def theta_factor_mc(
     inverse-CDF table in theta (phi is uniform).  Work is split into a fixed
     number of batches, each with its own counter-derived substream, so the
     result is bit-identical for a given seed regardless of ``n_workers``.
+    A batch is evaluated in slices of at most 2**15 draws, so the memory a
+    worker holds does not grow with ``n_samples``.
     """
     if n_samples < 1000:
         raise ValueError("need n_samples >= 1000")
@@ -245,27 +256,35 @@ def theta_factor_mc(
     sizes[: n_samples % _BATCHES] += 1
 
     def run_batch(b: int) -> np.ndarray:
-        rng = np.random.default_rng([seed, b])
-        u = rng.random(sizes[b])
-        theta = np.interp(u, cdf, th_grid)
-        phi = rng.random(sizes[b]) * 2.0 * math.pi
-        return _pol_tensor_mean(s, theta, phi, convention)
+        n = int(sizes[b])
+        u_rng = np.random.default_rng([seed, b])
+        # phi continues the batch's stream where its n theta draws end
+        phi_rng = np.random.Generator(np.random.PCG64([seed, b]).advance(n))
+        mean = np.zeros((3, 3))
+        for start in range(0, n, _SLICE):
+            m = min(_SLICE, n - start)
+            u = u_rng.random(m)
+            # interpolate the draws in sorted order, then put theta back in draw order
+            order = np.argsort(u)
+            theta = np.empty(m)
+            theta[order] = np.interp(u[order], cdf, th_grid)
+            phi = phi_rng.random(m) * 2.0 * math.pi
+            mean += m / n * _pol_tensor_mean(s, theta, phi, convention)
+        return mean
 
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         means = np.stack(list(pool.map(run_batch, range(_BATCHES))))  # (batch, 3, 3)
     weights = sizes / sizes.sum()
 
-    def theta_of(mean_t: np.ndarray) -> float:
+    def theta_of(mean_t: np.ndarray):
         m = 4.0 * math.pi * mean_t
-        return float((m * m).sum()) / 9.0
+        return (m * m).sum(axis=(-2, -1)) / 9.0
 
-    estimate = theta_of(np.einsum("b,bij->ij", weights, means))
+    estimate = float(theta_of(np.einsum("b,bij->ij", weights, means)))
 
     boot_rng = np.random.default_rng([seed, 2**31])
     resamples = boot_rng.integers(0, _BATCHES, size=(500, _BATCHES))
-    boot = np.array(
-        [theta_of(means[idx].mean(axis=0)) for idx in resamples]
-    )
+    boot = theta_of(means[resamples].mean(axis=1))
     return estimate, float(boot.std(ddof=1))
 
 

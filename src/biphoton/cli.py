@@ -29,9 +29,9 @@ from .registry import SpeciesNotFound, default_registry
 from .reporting import (
     Scenario,
     SchemaError,
-    _write_correlation,
-    _write_csv,
-    _write_theta_curve,
+    _correlation_csv,
+    _csv,
+    _theta_curve_csv,
     bundled_scenario_path,
     repro_report,
     run_scenario,
@@ -80,7 +80,7 @@ def _cmd_theta_curve(args) -> int:
     ratios = np.geomspace(args.min, args.max, args.points)
     rows = theta_curve(ratios, rel_tol=args.rel_tol)
     path = _out_path(args.out)
-    _write_theta_curve(path, rows)
+    path.write_text(_theta_curve_csv(rows))
     print(f"wrote {path} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -89,9 +89,9 @@ def _cmd_spectrum(args) -> int:
     provider = _provider(args.species, args.provider)
     spec = spc.spectral_amplitude(provider, n_points=args.n_omega)
     path = _out_path(args.out)
-    _write_csv(path, ["omega_ev", "amplitude", "amplitude_sq"],
-               zip(spec.omega_ev.tolist(), spec.amplitude.tolist(),
-                   (spec.amplitude**2).tolist()))
+    path.write_text(_csv(["omega_ev", "amplitude", "amplitude_sq"],
+                         zip(spec.omega_ev.tolist(), spec.amplitude.tolist(),
+                             (spec.amplitude**2).tolist())))
     print(f"wrote {path} ({spec.omega_au.size} rows)")
     return EXIT_OK
 
@@ -101,7 +101,7 @@ def _cmd_correlation(args) -> int:
     spec = spc.spectral_amplitude(provider, n_points=args.n_omega)
     corr = spc.correlation_function(spec, t_max_au=args.tmax_au, n_t=args.n_t)
     path = _out_path(args.out)
-    _write_correlation(path, corr)
+    path.write_text(_correlation_csv(corr))
     ct = spc.correlation_time(corr)
     print(f"wrote {path}; correlation time = {ct.width_au:.6g} a.u. "
           f"= {ct.width.value:.6g} s")

@@ -422,25 +422,25 @@ def _repro_table(scenario: Scenario, he, spec: spc.BiphotonSpectrum,
 # scenario runner
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _csv(header: list[str], rows) -> str:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(
             _FLOAT_FMT % v if isinstance(v, float) else str(v) for v in row
         ))
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _write_theta_curve(path: Path, curve: list[dict]) -> None:
-    _write_csv(path, ["ratio", "theta", "method", "stderr"],
-               [(r["ratio"], r["theta"], r["method"], r["stderr"]) for r in curve])
+def _theta_curve_csv(curve: list[dict]) -> str:
+    return _csv(["ratio", "theta", "method", "stderr"],
+                [(r["ratio"], r["theta"], r["method"], r["stderr"]) for r in curve])
 
 
-def _write_correlation(path: Path, corr: spc.CorrelationSeries) -> None:
-    _write_csv(path, ["t_au", "t_s", "re", "im", "abs"],
-               zip(corr.t_au.tolist(), corr.t_s.tolist(),
-                   corr.values.real.tolist(), corr.values.imag.tolist(),
-                   corr.abs.tolist()))
+def _correlation_csv(corr: spc.CorrelationSeries) -> str:
+    return _csv(["t_au", "t_s", "re", "im", "abs"],
+                zip(corr.t_au.tolist(), corr.t_s.tolist(),
+                    corr.values.real.tolist(), corr.values.imag.tolist(),
+                    corr.abs.tolist()))
 
 
 def run_scenario(path, out_dir=None) -> list[Path]:
@@ -450,35 +450,29 @@ def run_scenario(path, out_dir=None) -> list[Path]:
     (correlation function of the scenario's provider), one
     ``rates_<scheme>.json`` per scheme, and ``repro_table.json``.  The run
     has no random input, so the same scenario file gives the same bytes.
+    Every artifact is computed before ``out_dir`` is created or written, so
+    a run that fails leaves it as it was.
     """
     scenario = Scenario.from_file(path)
     out = Path(out_dir) if out_dir is not None else Path.cwd()
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    p = out / "fig_s1.csv"
-    curve = theta_curve(scenario.ratios, rel_tol=scenario.geometry_rel_tol)
-    _write_theta_curve(p, curve)
-    written.append(p)
-
-    # the repro rows use the pole chain; fig2.csv shows the scenario's provider
     he = default_registry().species(scenario.species)
+    # the scheme reports are cheap and can overflow, so they run first
+    reports = _scheme_reports(scenario, he)
+    curve = theta_curve(scenario.ratios, rel_tol=scenario.geometry_rel_tol)
+    # the repro rows use the pole chain; fig2.csv shows the scenario's provider
     spec, corr = _correlation(scenario, spc.provider_pole(he))
     fig2 = corr if scenario.provider == "pole" else _correlation(
         scenario, spc.PROVIDERS[scenario.provider](he))[1]
-    p = out / "fig2.csv"
-    _write_correlation(p, fig2)
-    written.append(p)
-
-    reports = _scheme_reports(scenario, he)
-    for scheme, report in reports.items():
-        p = out / f"rates_{scheme.split('-')[0]}.json"
-        p.write_text(report.to_json() + "\n")
-        written.append(p)
-
-    p = out / "repro_table.json"
     thetas = {row["ratio"]: row["theta"] for row in curve}
-    p.write_text(_repro_table(scenario, he, spec, corr, reports, thetas).to_json()
-                 + "\n")
-    written.append(p)
-    return written
+    texts = {
+        "fig_s1.csv": _theta_curve_csv(curve),
+        "fig2.csv": _correlation_csv(fig2),
+        **{f"rates_{scheme.split('-')[0]}.json": report.to_json() + "\n"
+           for scheme, report in reports.items()},
+        "repro_table.json": _repro_table(scenario, he, spec, corr, reports,
+                                         thetas).to_json() + "\n",
+    }
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        (out / name).write_text(text)
+    return [out / name for name in texts]

@@ -1,5 +1,8 @@
+import json
 import math
+import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,8 @@ from biphoton.cavity import (
     THETA_PLATEAU,
     THETA_SPHERE,
     _frames,
+    _grid,
+    _pol_basis,
     _pol_tensor_mean,
     _pol_tensor_sum,
     angular_jacobian,
@@ -137,7 +142,7 @@ class TestThetaMC:
         assert a[0] == b[0]
 
     @pytest.mark.parametrize("convention", ["physical", "printed"])
-    @pytest.mark.parametrize("ratio", [1.0, 3.0, 148.0])
+    @pytest.mark.parametrize("ratio", [1.0, 1.0 + 1e-12, 3.0, 148.0])
     def test_batch_mean_matches_tensor_mean(self, ratio, convention):
         rng = np.random.default_rng(3)
         theta = rng.uniform(0.0, math.pi, 5000)
@@ -156,6 +161,64 @@ class TestThetaMC:
     def test_minimum_samples(self):
         with pytest.raises(ValueError):
             theta_factor_mc(Spheroid(2.0, 1.0), 10)
+
+    def test_slices_change_only_summation_order(self, monkeypatch):
+        # 3125-draw batches in slices of 1000, 1000, 1000 and 125 draws
+        s = Spheroid(2.5, 1.0)
+        whole = theta_factor_mc(s, 100_000, seed=4, n_workers=2)
+        monkeypatch.setattr(cavity, "_SLICE", 1000)
+        sliced = theta_factor_mc(s, 100_000, seed=4, n_workers=2)
+        np.testing.assert_allclose(sliced, whole, rtol=1e-12, atol=0.0)
+
+    def test_memory_does_not_grow_with_samples(self):
+        """3.2M samples in 100k-draw batches: 16 MB held at once unsliced."""
+        tracemalloc.start()
+        try:
+            theta_factor_mc(Spheroid(2.0, 1.0), 3_200_000, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
+
+class TestGridBasis:
+    @pytest.mark.parametrize("ratio", [1.0, 1.0 + 1e-12, 148.0])
+    def test_broadcast_matches_meshgrid_bit_for_bit(self, ratio):
+        s = Spheroid(ratio, 1.0)
+        th, _wth, ph, _wph = _grid(64, 32)
+        tt, pp = np.meshgrid(th, ph, indexing="ij")
+        for grid, point in zip(_pol_basis(s, th[:, None], ph[None, :]),
+                               _pol_basis(s, tt, pp)):
+            grid = np.broadcast_to(grid, point.shape)
+            np.testing.assert_array_equal(grid.view(np.int64), point.view(np.int64))
+
+
+# theta_factor_mc(Spheroid(ratio, 1.0), 100_003, seed=9, convention=...)
+MC_PINS = {
+    (1.0, "physical"): (23.394692654029104, 0.00013686091400947625),
+    (1.0, "printed"): (11.703471057011479, 0.041206530723823895),
+    (2.5, "physical"): (9.2432448102828, 0.025942240688566973),
+    (2.5, "printed"): (8.564636842349117, 0.02564252787523462),
+    (148.0, "physical"): (8.822169363956357, 0.026544977367838517),
+    (148.0, "printed"): (8.724095364862135, 0.026332229039967715),
+}
+
+
+class TestPinnedBits:
+    """Theta and the Monte-Carlo results keep their recorded bits."""
+
+    def test_curve_matches_benchmark_reference(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+        reference = json.loads(path.read_text())["theta_curve"]
+        rows = theta_curve(np.geomspace(1.0, 148.0, 25), rel_tol=1e-9)
+        assert [row["theta"] for row in rows] == reference
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("ratio, convention", list(MC_PINS))
+    def test_mc_matches_pinned_values(self, ratio, convention, n_workers):
+        got = theta_factor_mc(Spheroid(ratio, 1.0), 100_003, seed=9,
+                              convention=convention, n_workers=n_workers)
+        assert got == MC_PINS[ratio, convention]
 
 
 @pytest.fixture

@@ -228,7 +228,10 @@ class TestRun:
         assert code == EXIT_OK
         assert (tmp_path / "repro_table.json").exists()
         assert (tmp_path / "fig_s1.csv").exists()
-        assert out.count("wrote") == 8
+        assert [Path(line.split(" ", 1)[1]).name for line in out.splitlines()] == [
+            "fig_s1.csv", "fig2.csv", "rates_narrowband.json", "rates_broadband.json",
+            "rates_sequential.json", "rates_scrap.json", "rates_etpa.json",
+            "repro_table.json"]
 
     def test_missing_scenario(self, capsys):
         code, _, err = run(["run", "does-not-exist.json"], capsys)
@@ -254,9 +257,21 @@ class TestRun:
                            capsys)
         assert code == EXIT_NUMERICAL
         assert "etpa: step 'final_rate' is not finite" in err
-        assert not list(out_dir.glob("*.json"))
-        for path in out_dir.iterdir():
-            assert "Infinity" not in path.read_text(), path.name
+        assert not out_dir.exists()
+
+    def test_failed_run_leaves_out_dir_as_it_was(self, tmp_path, capsys):
+        scenario = tmp_path / "huge.json"
+        scenario.write_text(json.dumps({
+            "schemes": {"etpa": {"molecules": 1e300, "photon_rate_hz": 1e300}}}))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        (out_dir / "fig_s1.csv").write_text("earlier\n")
+        code, out, _ = run(["run", str(scenario), "--out-dir", str(out_dir)],
+                           capsys)
+        assert code == EXIT_NUMERICAL
+        assert "wrote" not in out
+        assert {p.name: p.read_text() for p in out_dir.iterdir()} == {
+            "fig_s1.csv": "earlier\n"}
 
     def test_nan_t_max_is_config_error(self, tmp_path, capsys):
         # json reads NaN as a float, which passes the "number" schema check
