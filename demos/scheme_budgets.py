@@ -7,14 +7,14 @@ then the step-by-step breakdown of the sequential lamp-plus-laser scheme.
 
 from biphoton import Scenario, species
 from biphoton.reporting import bundled_scenario_path
-from biphoton.schemes import SCHEME_RUNNERS
+from biphoton.schemes import SCHEMES
 
 
 def main() -> None:
     scenario = Scenario.from_file(bundled_scenario_path())
     he = species(scenario.species)
-    reports = {scheme: run(scenario.config(scheme), he)
-               for scheme, run in SCHEME_RUNNERS.items()}
+    reports = {scheme: entry.run(scenario.config(scheme), he)
+               for scheme, entry in SCHEMES.items()}
     print(f"{'scheme':<20}  {'final rate (1/s)':>16}")
     for name, rep in reports.items():
         print(f"{name:<20}  {rep.final_rate.value:>16.4g}")

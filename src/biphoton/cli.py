@@ -116,10 +116,9 @@ def _cmd_lifetime(args) -> int:
 
 
 def _cmd_rates(args) -> int:
-    scenario = (Scenario.from_file(args.config) if args.config
-                else Scenario.from_file(bundled_scenario_path()))
+    scenario = Scenario.from_file(args.config or bundled_scenario_path())
     species = default_registry().species(scenario.species)
-    report = sch.SCHEME_RUNNERS[args.scheme](scenario.config(args.scheme), species)
+    report = sch.SCHEMES[args.scheme].run(scenario.config(args.scheme), species)
     text = report.to_json()
     if args.out:
         path = _out_path(args.out)
@@ -227,7 +226,7 @@ def main(argv=None) -> int:
             ArithmeticError) as exc:
         print(f"numerical error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (SchemaError, SpeciesNotFound, FileNotFoundError, ValueError) as exc:
+    except (SchemaError, SpeciesNotFound, OSError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

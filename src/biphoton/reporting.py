@@ -89,25 +89,6 @@ def _check_keys(obj: dict, allowed: dict, path: str):
                 raise SchemaError(f"{path}.{key}: expected a list of numbers")
 
 
-# scheme override key -> (SchemeConfig field, unit of its Quantity or None)
-_SCHEME_OVERRIDES = {
-    "intensity_wcm2": ("intensity", "W/cm^2"),
-    "bandwidth_hz": ("bandwidth", "Hz"),
-    "pressure_bar": ("pressure_bar", None),
-    "temperature_k": ("temperature_k", None),
-    "spot_diameter_um": ("spot_diameter", "um"),
-    "path_length_mm": ("path_length", "mm"),
-    "tau_2p_ns": ("tau_2p", "ns"),
-    "pulse_duration_fs": ("pulse_duration", "fs"),
-    "repetition_rate_hz": ("repetition_rate_hz", None),
-    "excitation_fraction": ("excitation_fraction", None),
-    "n_atoms": ("n_atoms", None),
-    "molecules": ("molecules", None),
-    "photon_rate_hz": ("photon_rate_hz", None),
-    "lineshape_factor_au": ("lineshape_factor_au", None),
-}
-
-
 @dataclass(frozen=True)
 class Scenario:
     """Validated scenario file: species, geometry sweep, spectrum settings,
@@ -161,8 +142,8 @@ class Scenario:
         for scheme, overrides in schemes.items():
             if scheme not in sch.SCHEMES:
                 raise SchemaError(f"$.schemes.{scheme}: unknown scheme; "
-                                  f"one of {sch.SCHEMES}")
-            _check_keys(overrides, dict.fromkeys(_SCHEME_OVERRIDES, "number"),
+                                  f"one of {tuple(sch.SCHEMES)}")
+            _check_keys(overrides, dict.fromkeys(sch.SCHEMES[scheme].keys, "number"),
                         f"$.schemes.{scheme}")
         ratios = [float(r) for r in geometry.get(
             "ratios", [1, 1.5, 2, 3, 5, 8, 12, 20, 40, 80, 148])]
@@ -181,16 +162,7 @@ class Scenario:
         )
 
     def config(self, scheme: str) -> sch.SchemeConfig:
-        kwargs: dict = {"scheme": scheme}
-        for key, value in self.scheme_overrides.get(scheme, {}).items():
-            name, unit = _SCHEME_OVERRIDES[key]
-            kwargs[name] = value if unit is None else Quantity(value, unit)
-        if scheme == "broadband-4photon":
-            kwargs.setdefault("bandwidth", Quantity(5e12, "Hz"))
-        if scheme == "scrap":
-            kwargs.setdefault("bandwidth", Quantity(8.8e12, "Hz"))
-            kwargs.setdefault("n_atoms", 1e13)
-        return sch.SchemeConfig(**kwargs)
+        return sch.SCHEMES[scheme].config(self.scheme_overrides.get(scheme, {}))
 
 
 def bundled_scenario_path() -> Path:
@@ -270,8 +242,8 @@ def _correlation(
 
 
 def _scheme_reports(scenario: Scenario, he) -> dict[str, sch.RateReport]:
-    return {scheme: run(scenario.config(scheme), he)
-            for scheme, run in sch.SCHEME_RUNNERS.items()}
+    return {scheme: entry.run(scenario.config(scheme), he)
+            for scheme, entry in sch.SCHEMES.items()}
 
 
 def repro_report(scenario: Scenario | None = None) -> ReproTable:
@@ -358,9 +330,8 @@ def _repro_table(scenario: Scenario, he, spec: spc.BiphotonSpectrum,
                      1.93e-16, ct.width.value, "exact-formula", 0.25))
 
     # --- scheme budgets
-    cfg_n = scenario.config("narrowband-4photon")
-    flux = photon_flux(cfg_n.intensity, sch.PUMP_PHOTON_ENERGY, cfg_n.spot_diameter)
-    chained_rate = flux.value * frac4 / 4.0
+    flux = reports["narrowband-4photon"].steps["pump_photon_flux"].value
+    chained_rate = flux * frac4 / 4.0
     rows.append(_row("narrowband_rate", "narrowband pair generation rate (1/s)",
                      1e22, chained_rate, "order-of-magnitude", 10.0,
                      note="chained from the absorption_fraction row"))

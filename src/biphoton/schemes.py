@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -47,8 +48,9 @@ from .units import (
 
 __all__ = [
     "SCHEMES",
-    "SCHEME_RUNNERS",
+    "Scheme",
     "SchemeConfig",
+    "OVERRIDE_KEYS",
     "PUMP_PHOTON_ENERGY",
     "LAMP_INTENSITY",
     "LAMP_PHOTON_ENERGY",
@@ -81,8 +83,6 @@ __all__ = [
     "r_trans",
 ]
 
-_NEEDS_BANDWIDTH = ("broadband-4photon", "scrap")
-
 # Printed inputs of the reference budgets; no scenario varies them.
 PUMP_PHOTON_ENERGY = Quantity(5.155, "eV")          # 240 nm pump
 LAMP_INTENSITY = Quantity(34.0, "W/cm^2")           # sequential: He I lamp
@@ -102,11 +102,10 @@ def _positive(name, value):
 @dataclass(frozen=True)
 class SchemeConfig:
     """Inputs for one scheme estimate.  Defaults are the reference scenario:
-    100 um spot, 1 mm path, 1 bar, pump at 1e14 W/cm^2.  Each field but
-    ``scheme`` is set by one scenario override key; the printed inputs that
-    no scenario varies are the module constants above."""
+    100 um spot, 1 mm path, 1 bar, pump at 1e14 W/cm^2.  Each field is set
+    by one scenario override key of ``OVERRIDE_KEYS``; the printed inputs
+    that no scenario varies are the module constants above."""
 
-    scheme: str
     intensity: Quantity = Quantity(1e14, "W/cm^2")
     spot_diameter: Quantity = Quantity(100.0, "um")
     path_length: Quantity = Quantity(1.0, "mm")
@@ -126,8 +125,6 @@ class SchemeConfig:
     molecules: float = 1e12
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; one of {SCHEMES}")
         if not (math.isfinite(self.intensity.value) and self.intensity.value >= 0):
             raise ValueError(f"intensity must be finite and >= 0, got {self.intensity}")
         for name in ("spot_diameter", "path_length", "pulse_duration", "tau_2p"):
@@ -135,12 +132,8 @@ class SchemeConfig:
         for name in ("pressure_bar", "temperature_k", "lineshape_factor_au",
                      "repetition_rate_hz", "n_atoms", "molecules", "photon_rate_hz"):
             _positive(name, getattr(self, name))
-        if self.scheme in _NEEDS_BANDWIDTH:
-            if self.bandwidth is None:
-                raise ValueError(f"scheme {self.scheme!r} requires a bandwidth")
+        if self.bandwidth is not None:
             _positive("bandwidth", self.bandwidth.value)
-        elif self.bandwidth is not None:
-            raise ValueError(f"scheme {self.scheme!r} does not take a bandwidth")
         if not 0 <= self.excitation_fraction <= 1:
             raise ValueError("excitation_fraction must be in [0, 1]")
 
@@ -150,6 +143,26 @@ class SchemeConfig:
         return atoms_in_focal_volume(
             self.pressure_bar, self.temperature_k, self.spot_diameter, self.path_length
         )
+
+
+# scenario override key -> (SchemeConfig field, unit of its Quantity or None)
+OVERRIDE_KEYS = {
+    "intensity_wcm2": ("intensity", "W/cm^2"),
+    "bandwidth_hz": ("bandwidth", "Hz"),
+    "spot_diameter_um": ("spot_diameter", "um"),
+    "path_length_mm": ("path_length", "mm"),
+    "tau_2p_ns": ("tau_2p", "ns"),
+    "pulse_duration_fs": ("pulse_duration", "fs"),
+    **{name: (name, None) for name in (
+        "pressure_bar", "temperature_k", "repetition_rate_hz", "excitation_fraction",
+        "n_atoms", "molecules", "photon_rate_hz", "lineshape_factor_au")},
+}
+
+
+def _bandwidth_hz(config: SchemeConfig, scheme: str) -> float:
+    if config.bandwidth is None:
+        raise ValueError(f"scheme {scheme!r} requires a bandwidth")
+    return config.bandwidth.to("Hz").value
 
 
 @dataclass(frozen=True)
@@ -282,11 +295,9 @@ def _narrowband_steps(config: SchemeConfig, species: SpeciesData):
 
 def biphoton_rate_narrowband(config: SchemeConfig, species: SpeciesData) -> RateReport:
     """Pairs per second: pump flux x absorbed fraction / 4 photons per excitation."""
-    if config.scheme != "narrowband-4photon":
-        raise ValueError(f"expected narrowband-4photon config, got {config.scheme!r}")
     pair_rate, steps = _narrowband_steps(config, species)
     return RateReport(
-        scheme=config.scheme,
+        scheme="narrowband-4photon",
         final_rate=ReportEntry(pair_rate, "1/s",
                                "flux * absorbed_fraction / 4 photons per pair"),
         steps=steps,
@@ -301,10 +312,8 @@ def four_photon_rate_broadband(config: SchemeConfig, species: SpeciesData) -> Ra
     spectrum of bandwidth delta; the transition linewidth is the natural
     width 1/lifetime_2s.
     """
-    if config.scheme != "broadband-4photon":
-        raise ValueError(f"expected broadband-4photon config, got {config.scheme!r}")
+    delta_hz = _bandwidth_hz(config, "broadband-4photon")
     pair_rate, steps = _narrowband_steps(config, species)
-    delta_hz = config.bandwidth.to("Hz").value
     if species.lifetime_2s is None:
         raise ValueError(f"{species.name}: no lifetime to derive a linewidth from")
     width_hz = 1.0 / species.lifetime_2s.to("s").value
@@ -319,7 +328,7 @@ def four_photon_rate_broadband(config: SchemeConfig, species: SpeciesData) -> Ra
             peak_density, "1/Hz", "flat-top of bandwidth delta"),
     })
     return RateReport(
-        scheme=config.scheme,
+        scheme="broadband-4photon",
         final_rate=ReportEntry(rate, "1/s",
                                "resonant rate * linewidth * density(resonance)"),
         steps=steps,
@@ -357,8 +366,6 @@ def biphoton_rate_sequential(config: SchemeConfig, species: SpeciesData) -> Rate
     turnover (steady-state fraction x focal-volume atoms per second) and the
     lamp photon supply; the binding constraint is named in the report.
     """
-    if config.scheme != "sequential":
-        raise ValueError(f"expected sequential config, got {config.scheme!r}")
     tau_au = config.tau_2p.au
     r1 = one_photon_rate(species.f_g2p, LAMP_INTENSITY, LAMP_PHOTON_ENERGY, tau_au)
     r2 = one_photon_rate(species.f_2p2s, LASER_INTENSITY, LASER_PHOTON_ENERGY, tau_au)
@@ -389,7 +396,7 @@ def biphoton_rate_sequential(config: SchemeConfig, species: SpeciesData) -> Rate
             float(inventory <= lamp_supply), "", binding),
     }
     return RateReport(
-        scheme=config.scheme,
+        scheme="sequential",
         final_rate=ReportEntry(rate, "1/s",
                                f"min(excited inventory, lamp supply) = {binding}"),
         steps=steps,
@@ -447,9 +454,7 @@ def scrap_transfer_probability(config: SchemeConfig, species: SpeciesData) -> Sc
     W_eg is the four-photon Rabi frequency expressed in the budget's
     2*pi-per-a.u.-time convention.  Both integration windows are reported.
     """
-    if config.scheme != "scrap":
-        raise ValueError(f"expected scrap config, got {config.scheme!r}")
-    delta_hz = config.bandwidth.to("Hz").value
+    delta_hz = _bandwidth_hz(config, "scrap")
     omega_eg_hz = (
         2.0 * math.pi
         * four_photon_rabi(species, intensity_to_field(config.intensity)).au
@@ -469,8 +474,6 @@ def scrap_transfer_probability(config: SchemeConfig, species: SpeciesData) -> Sc
 
 def scrap_biphoton_rate(config: SchemeConfig, species: SpeciesData) -> RateReport:
     """Excited fraction x focal-volume atoms x pulse repetition rate."""
-    if config.scheme != "scrap":
-        raise ValueError(f"expected scrap config, got {config.scheme!r}")
     res = scrap_transfer_probability(config, species)
     atoms = config.atoms()
     per_pulse = config.excitation_fraction * atoms
@@ -491,7 +494,7 @@ def scrap_biphoton_rate(config: SchemeConfig, species: SpeciesData) -> RateRepor
         "repetition_rate": ReportEntry(config.repetition_rate_hz, "Hz", "input"),
     }
     return RateReport(
-        scheme=config.scheme,
+        scheme="scrap",
         final_rate=ReportEntry(rate, "1/s", "per-pulse excitations * rep rate"),
         steps=steps,
     )
@@ -500,15 +503,13 @@ def scrap_biphoton_rate(config: SchemeConfig, species: SpeciesData) -> RateRepor
 def etpa_ion_rate(config: SchemeConfig) -> RateReport:
     """ETPA detection budget: sigma_e = sigma2/(A_e T_e), rate per molecule
     sigma_e x (photon rate / A_e), ions/s = per-molecule rate x molecules."""
-    if config.scheme != "etpa":
-        raise ValueError(f"expected etpa config, got {config.scheme!r}")
     t_e = ENTANGLEMENT_TIME.to("s").value
     sigma_e = SIGMA2_CM4S / (ENTANGLEMENT_AREA_CM2 * t_e)
     flux_density = config.photon_rate_hz / ENTANGLEMENT_AREA_CM2
     per_molecule = sigma_e * flux_density
     ions = per_molecule * config.molecules
     return RateReport(
-        scheme=config.scheme,
+        scheme="etpa",
         final_rate=ReportEntry(ions, "1/s", "per-molecule rate * molecules"),
         steps={
             "sigma_e": ReportEntry(sigma_e, "cm^2", "sigma2/(A_e*T_e)"),
@@ -521,15 +522,42 @@ def etpa_ion_rate(config: SchemeConfig) -> RateReport:
     )
 
 
-# scheme id -> (config, species) -> RateReport
-SCHEME_RUNNERS = {
-    "narrowband-4photon": biphoton_rate_narrowband,
-    "broadband-4photon": four_photon_rate_broadband,
-    "sequential": biphoton_rate_sequential,
-    "scrap": scrap_biphoton_rate,
-    "etpa": lambda config, species: etpa_ion_rate(config),
+@dataclass(frozen=True)
+class Scheme:
+    """One excitation scheme: its ``(config, species) -> RateReport`` runner,
+    the override keys the runner reads, and scenario defaults for some of them."""
+
+    run: Callable[[SchemeConfig, SpeciesData], RateReport]
+    keys: tuple[str, ...]
+    defaults: dict[str, float] = field(default_factory=dict)
+
+    def config(self, overrides: dict[str, float]) -> SchemeConfig:
+        kwargs = {}
+        for key, value in {**self.defaults, **overrides}.items():
+            name, unit = OVERRIDE_KEYS[key]
+            kwargs[name] = value if unit is None else Quantity(value, unit)
+        return SchemeConfig(**kwargs)
+
+
+_PUMP_KEYS = ("intensity_wcm2", "spot_diameter_um", "path_length_mm",
+              "pressure_bar", "temperature_k", "lineshape_factor_au")
+
+# scheme id -> Scheme; the only place that knows a scheme's inputs
+SCHEMES = {
+    "narrowband-4photon": Scheme(biphoton_rate_narrowband, _PUMP_KEYS),
+    "broadband-4photon": Scheme(four_photon_rate_broadband,
+                                _PUMP_KEYS + ("bandwidth_hz",),
+                                {"bandwidth_hz": 5e12}),
+    "sequential": Scheme(biphoton_rate_sequential,
+                         ("tau_2p_ns", "spot_diameter_um", "path_length_mm",
+                          "pressure_bar", "temperature_k", "n_atoms")),
+    "scrap": Scheme(scrap_biphoton_rate,
+                    ("intensity_wcm2", "bandwidth_hz", "pulse_duration_fs",
+                     "repetition_rate_hz", "excitation_fraction", "n_atoms"),
+                    {"bandwidth_hz": 8.8e12, "n_atoms": 1e13}),
+    "etpa": Scheme(lambda config, species: etpa_ion_rate(config),
+                   ("photon_rate_hz", "molecules")),
 }
-SCHEMES = tuple(SCHEME_RUNNERS)
 
 
 def collection_fraction(solid_angle_fraction: float) -> float:

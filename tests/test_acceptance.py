@@ -196,13 +196,13 @@ def test_criterion_5_exact_formula_recomputations():
     within("absorption fraction", 3.4e-5,
            attenuation_fraction(Quantity(1e14, "W/cm^2"), alpha4,
                                 Quantity(1.0, "mm"), 4))
-    seq = biphoton_rate_sequential(SchemeConfig(scheme="sequential"), HE)
+    seq = biphoton_rate_sequential(SchemeConfig(), HE)
     within("steady-state fraction", 0.47,
            seq.steps["steady_state_fraction"].value)
     # The printed cross-section contradicts its own formula, so sigma_e is
     # checked against the formula evaluated on the printed inputs, and its
     # ratio to the printed 1e-29 against the documented factor of 100.
-    sigma_e = etpa_ion_rate(SchemeConfig(scheme="etpa")).steps["sigma_e"].value
+    sigma_e = etpa_ion_rate(SchemeConfig()).steps["sigma_e"].value
     within("sigma_e vs sigma2/(A_e*T_e) of the printed inputs",
            SIGMA_E_FROM_PRINTED_INPUTS, sigma_e, what="formula")
     within("sigma_e / printed 1e-29 (documented factor)", 100.0,
@@ -234,15 +234,14 @@ def test_criterion_6_order_of_magnitude_budgets():
     oom("narrowband rate", 1e22, narrow, factor=10.0)
     width = 1.0 / HE.lifetime_2s.to("s").value
     oom("broadband rate", 1e11, narrow * width / 5e12, factor=10.0)
-    seq = biphoton_rate_sequential(SchemeConfig(scheme="sequential"), HE)
+    seq = biphoton_rate_sequential(SchemeConfig(), HE)
     oom("sequential rate", 3.6e13, seq.final_rate.value)
-    cfg_s = SchemeConfig(scheme="scrap", bandwidth=Quantity(8.8e12, "Hz"),
-                         n_atoms=1e13)
+    cfg_s = SchemeConfig(bandwidth=Quantity(8.8e12, "Hz"), n_atoms=1e13)
     oom("SCRAP rate", 1e16, scrap_biphoton_rate(cfg_s, HE).final_rate.value)
     res = scrap_transfer_probability(cfg_s, HE)
     gate.check(max(res.probability, res.probability_other_window) > 0.99,
                "SCRAP transfer probability <= 0.99")
-    etpa = etpa_ion_rate(SchemeConfig(scheme="etpa")).steps
+    etpa = etpa_ion_rate(SchemeConfig()).steps
     per_mol = 1e-29 * etpa["photon_flux_density"].value   # from the quoted sigma_e
     oom("ETPA per molecule", 1e-9, per_mol)
     oom("ETPA ions", 1000.0, per_mol * etpa["molecules"].value)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from biphoton import cavity
+from biphoton import schemes as sch
 from biphoton.cli import EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from biphoton.reporting import bundled_scenario_path
 
@@ -196,6 +197,27 @@ class TestRates:
             assert f"{scheme}: step {step!r} is not finite" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "scheme, key",
+        [(scheme, key) for scheme in sch.SCHEMES for key in sch.OVERRIDE_KEYS])
+    def test_scheme_reads_exactly_its_keys(self, scheme, key, tmp_path, capsys):
+        """A key in the scheme's entry changes its report; any other key is
+        a configuration error naming the scheme and the keys it takes."""
+        scenario = tmp_path / "one_key.json"
+        plain = tmp_path / "plain.json"
+        scenario.write_text(json.dumps({"schemes": {scheme: {key: 0.75}}}))
+        plain.write_text("{}")
+        code, out, err = run(["rates", scheme, "--config", str(scenario)], capsys)
+        allowed = sch.SCHEMES[scheme].keys
+        if key in allowed:
+            assert code == EXIT_OK, err
+            assert out != run(["rates", scheme, "--config", str(plain)], capsys)[1]
+        else:
+            assert code == EXIT_CONFIG
+            assert err == (f"configuration error: $.schemes.{scheme}: unknown "
+                           f"key(s) [{key!r}]; allowed: {sorted(allowed)}\n")
+            assert out == ""
+
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         code, _, _ = run(["rates", "etpa", "--out", str(out)], capsys)
@@ -237,6 +259,24 @@ class TestRun:
         code, _, err = run(["run", "does-not-exist.json"], capsys)
         assert code == EXIT_CONFIG
         assert "configuration error" in err
+
+    @pytest.mark.parametrize("argv", [
+        lambda scenario, blocker: ["run", str(scenario), "--out-dir", str(blocker)],
+        lambda scenario, blocker: ["theta-curve", "--points", "1",
+                                   "--out", str(blocker / "x.csv")],
+    ], ids=["run", "theta-curve"])
+    def test_unusable_output_path_is_config_error(self, argv, tmp_path, capsys):
+        # an existing file where the output directory should be
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept\n")
+        scenario = tmp_path / "small.json"
+        scenario.write_text(json.dumps({"geometry": {"ratios": [1.0]},
+                                        "spectrum": {"n_omega": 64}}))
+        code, out, err = run(argv(scenario, blocker), capsys)
+        assert code == EXIT_CONFIG
+        assert err.startswith("configuration error: ")
+        assert "wrote" not in out
+        assert blocker.read_text() == "kept\n"
 
     def test_infinite_ratio_is_config_error(self, tmp_path, capsys):
         # json reads Infinity as a float, which passes the ratios >= 1 check

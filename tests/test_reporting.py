@@ -13,7 +13,6 @@ from biphoton import schemes as sch
 from biphoton import spectrum as spc
 from biphoton.registry import species
 from biphoton.reporting import (
-    _SCHEME_OVERRIDES,
     ReproRow,
     ReproTable,
     Scenario,
@@ -65,8 +64,9 @@ def counted_run(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spc, "correlation_function",
                    counting("correlation_function", spc.correlation_function))
-        for scheme, run in list(sch.SCHEME_RUNNERS.items()):
-            mp.setitem(sch.SCHEME_RUNNERS, scheme, counting(scheme, run))
+        for scheme, entry in list(sch.SCHEMES.items()):
+            mp.setitem(sch.SCHEMES, scheme,
+                       dataclasses.replace(entry, run=counting(scheme, entry.run)))
         _rebind_everywhere(mp, build_rule, leggauss)
         _rebind_everywhere(mp, quadrature, theta_factor_quadrature)
         files = run_scenario(bundled_scenario_path(), tmp_path_factory.mktemp("run"))
@@ -146,7 +146,8 @@ class TestScenarioSchema:
     ])
     def test_every_override_key(self, key, field, unit):
         value = 0.75    # valid for every key, and no field's default
-        cfg = Scenario.from_dict({"schemes": {"scrap": {key: value}}}).config("scrap")
+        scheme = next(s for s, entry in sch.SCHEMES.items() if key in entry.keys)
+        cfg = Scenario.from_dict({"schemes": {scheme: {key: value}}}).config(scheme)
         got = getattr(cfg, field)
         if unit is None:
             assert got == value
@@ -155,8 +156,16 @@ class TestScenarioSchema:
 
     def test_every_config_field_has_an_override_key(self):
         # a SchemeConfig field no scenario key sets is config nothing varies
-        fields = {f.name for f in dataclasses.fields(sch.SchemeConfig)} - {"scheme"}
-        assert fields == {name for name, _unit in _SCHEME_OVERRIDES.values()}
+        fields = {f.name for f in dataclasses.fields(sch.SchemeConfig)}
+        assert fields == {name for name, _unit in sch.OVERRIDE_KEYS.values()}
+
+    def test_scheme_keys_cover_the_key_map(self):
+        # an override key no scheme reads is config nothing varies
+        keys = [entry.keys for entry in sch.SCHEMES.values()]
+        assert set().union(*keys) == set(sch.OVERRIDE_KEYS)
+        for entry in sch.SCHEMES.values():
+            assert len(set(entry.keys)) == len(entry.keys)
+            assert set(entry.defaults) <= set(entry.keys)
 
 
 class TestReproTable:

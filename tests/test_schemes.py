@@ -3,6 +3,7 @@ import math
 import pytest
 
 from biphoton.registry import species
+from biphoton.reporting import Scenario, SchemaError
 from biphoton.schemes import (
     NonFiniteRateError,
     RateReport,
@@ -79,19 +80,19 @@ class TestAttenuation:
 
 class TestNarrowband:
     def test_budget(self):
-        rep = biphoton_rate_narrowband(SchemeConfig(scheme="narrowband-4photon"), HE)
+        rep = biphoton_rate_narrowband(SchemeConfig(), HE)
         assert rep.final_rate.value == pytest.approx(1.166e23, rel=0.01)
         assert rep.steps["pump_photon_flux"].value == pytest.approx(9.51e27, rel=0.01)
         assert rep.steps["absorbed_fraction"].value == pytest.approx(4.906e-5, rel=0.01)
 
     def test_scheme_mismatch(self):
-        cfg = SchemeConfig(scheme="sequential")
-        with pytest.raises(ValueError):
-            biphoton_rate_narrowband(cfg, HE)
+        # a narrowband scenario cannot carry the sequential scheme's inputs
+        with pytest.raises(SchemaError, match=r"\$\.schemes\.narrowband-4photon"):
+            Scenario.from_dict({"schemes": {"narrowband-4photon": {"tau_2p_ns": 2.0}}})
 
 
 class TestBroadband:
-    CFG = SchemeConfig(scheme="broadband-4photon", bandwidth=Quantity(5e12, "Hz"))
+    CFG = SchemeConfig(bandwidth=Quantity(5e12, "Hz"))
 
     def test_budget(self):
         rep = four_photon_rate_broadband(self.CFG, HE)
@@ -101,12 +102,12 @@ class TestBroadband:
 
     def test_bandwidth_required(self):
         with pytest.raises(ValueError, match="bandwidth"):
-            SchemeConfig(scheme="broadband-4photon")
+            four_photon_rate_broadband(SchemeConfig(), HE)
 
 
 class TestSequential:
     def test_budget(self):
-        rep = biphoton_rate_sequential(SchemeConfig(scheme="sequential"), HE)
+        rep = biphoton_rate_sequential(SchemeConfig(), HE)
         assert rep.steps["lamp_rate_r1"].value == pytest.approx(3.83e9, rel=0.01)
         assert rep.steps["steady_state_fraction"].value == pytest.approx(0.470, rel=0.01)
         assert rep.steps["laser_step_saturated"].value == 1.0
@@ -126,7 +127,7 @@ class TestSequential:
 
 
 class TestScrap:
-    CFG = SchemeConfig(scheme="scrap", bandwidth=Quantity(8.8e12, "Hz"), n_atoms=1e13)
+    CFG = SchemeConfig(bandwidth=Quantity(8.8e12, "Hz"), n_atoms=1e13)
 
     def test_transfer_probability(self):
         res = scrap_transfer_probability(self.CFG, HE)
@@ -155,7 +156,7 @@ class TestScrap:
 
 class TestEtpa:
     def test_budget(self):
-        rep = etpa_ion_rate(SchemeConfig(scheme="etpa"))
+        rep = etpa_ion_rate(SchemeConfig())
         assert rep.steps["sigma_e"].value == pytest.approx(1e-27, rel=1e-9)
         assert rep.steps["per_molecule_rate"].value == pytest.approx(1e-7, rel=1e-9)
         assert rep.final_rate.value == pytest.approx(1e5, rel=1e-9)
@@ -210,7 +211,7 @@ class TestCavityTransfer:
 
 class TestReportSerialization:
     def test_round_trip(self):
-        rep = biphoton_rate_narrowband(SchemeConfig(scheme="narrowband-4photon"), HE)
+        rep = biphoton_rate_narrowband(SchemeConfig(), HE)
         again = RateReport.from_json(rep.to_json())
         assert again == rep
 
@@ -223,15 +224,16 @@ class TestReportSerialization:
         assert isinstance(info.value, ArithmeticError)
 
     def test_overflowing_runner_is_rejected(self):
-        config = SchemeConfig(scheme="scrap", bandwidth=Quantity(8.8e12, "Hz"),
+        config = SchemeConfig(bandwidth=Quantity(8.8e12, "Hz"),
                               n_atoms=1e300, repetition_rate_hz=1e300)
         with pytest.raises(NonFiniteRateError, match="scrap: step 'final_rate'"):
             scrap_biphoton_rate(config, HE)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="unknown scheme"):
-            SchemeConfig(scheme="telepathy")
-        with pytest.raises(ValueError, match="does not take a bandwidth"):
-            SchemeConfig(scheme="etpa", bandwidth=Quantity(1e12, "Hz"))
+        with pytest.raises(SchemaError, match="unknown scheme"):
+            Scenario.from_dict({"schemes": {"telepathy": {}}})
+        with pytest.raises(SchemaError,
+                           match=r"\$\.schemes\.etpa: unknown key.*'bandwidth_hz'"):
+            Scenario.from_dict({"schemes": {"etpa": {"bandwidth_hz": 1e12}}})
         with pytest.raises(ValueError):
-            SchemeConfig(scheme="etpa", excitation_fraction=1.5)
+            SchemeConfig(excitation_fraction=1.5)
