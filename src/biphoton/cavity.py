@@ -196,6 +196,12 @@ def theta_factor_quadrature(
     """Geometry factor Theta by adaptive tensor-product quadrature.
 
     Sphere limit is 64*pi^2/27; the large-aspect-ratio plateau is 8*pi^2/9.
+    The theta node count doubles from 32 (n_phi from 16, capped at 64) until
+    two levels agree to ``rel_tol``.  The finest level is 2048 x 64: past
+    n_theta = 512 the level-to-level change is roundoff (about 1e-11 at
+    a/b = 148), so a ``rel_tol`` below that floor raises
+    ``ThetaConvergenceError`` after the 2048-node level instead of building
+    ever larger rules.
     """
     if not rel_tol > 0:
         raise ValueError("rel_tol must be positive")
@@ -204,7 +210,7 @@ def theta_factor_quadrature(
         return _theta_literal(s, 48, 24, convention)
     n_theta, n_phi = 32, 16
     prev = _theta_on_grid(s, n_theta, n_phi, convention)
-    while n_theta <= 4096:
+    while n_theta <= 1024:
         n_theta, n_phi = 2 * n_theta, min(2 * n_phi, 64)
         cur = _theta_on_grid(s, n_theta, n_phi, convention)
         if abs(cur - prev) <= rel_tol * abs(cur):
@@ -227,7 +233,11 @@ def _theta_cdf(s: Spheroid, n: int = 8192):
 
 
 _BATCHES = 32
-_SLICE = 2**15  # draws evaluated at once; bounds a batch's working memory
+# Draws evaluated at once.  A slice's float64 work arrays are then 64 KB each,
+# about 1.5 MB together: that fits a 2 MB per-core L2 cache and stays below
+# glibc's 128 KB mmap threshold, so the arrays are reused from the heap
+# instead of being mapped and unmapped for every slice.
+_SLICE = 2**13
 
 
 def theta_factor_mc(
@@ -243,8 +253,10 @@ def theta_factor_mc(
     inverse-CDF table in theta (phi is uniform).  Work is split into a fixed
     number of batches, each with its own counter-derived substream, so the
     result is bit-identical for a given seed regardless of ``n_workers``.
-    A batch is evaluated in slices of at most 2**15 draws, so the memory a
-    worker holds does not grow with ``n_samples``.
+    A batch is evaluated in slices of at most 2**13 draws, so the memory a
+    worker holds does not grow with ``n_samples``.  Up to 32 * 2**13 =
+    262,144 samples a batch is one slice; larger runs differ from an unsliced
+    evaluation only in summation order.
     """
     if n_samples < 1000:
         raise ValueError("need n_samples >= 1000")

@@ -42,6 +42,12 @@ class TestTheta:
         assert code == EXIT_CONFIG
         assert "configuration error: need finite a >= b > 0, got a=inf" in err
 
+    def test_unreachable_tolerance_is_numerical_error(self, capsys, rules_up_to_2048):
+        code, out, err = run(["theta", "--ratio", "148", "--rel-tol", "1e-12"], capsys)
+        assert code == EXIT_NUMERICAL
+        assert "numerical error (ThetaConvergenceError)" in err
+        assert out == ""
+
     def test_zero_mc_samples_is_config_error(self, capsys):
         code, out, err = run(["theta", "--ratio", "2", "--mc", "0"], capsys)
         assert code == EXIT_CONFIG
