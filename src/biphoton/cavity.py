@@ -235,8 +235,7 @@ def _theta_cdf(s: Spheroid, n: int = 8192):
 _BATCHES = 32
 # Draws evaluated at once.  A slice's float64 work arrays are then 64 KB each,
 # about 1.5 MB together: that fits a 2 MB per-core L2 cache and stays below
-# glibc's 128 KB mmap threshold, so the arrays are reused from the heap
-# instead of being mapped and unmapped for every slice.
+# glibc's 128 KB mmap threshold.
 _SLICE = 2**13
 
 
