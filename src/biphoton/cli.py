@@ -36,7 +36,6 @@ from .reporting import (
     repro_report,
     run_scenario,
 )
-from .units import Quantity
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -44,11 +43,16 @@ EXIT_NUMERICAL = 3
 EXIT_ACCEPTANCE = 4
 
 
-def _out_path(name: str) -> Path:
+def _resolve(name: str) -> Path:
     path = Path(name)
     base = os.environ.get("BIPHOTON_OUTDIR")
     if base and not path.is_absolute():
         path = Path(base) / path
+    return path
+
+
+def _out_path(name: str) -> Path:
+    path = _resolve(name)
     path.parent.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -143,8 +147,9 @@ def _cmd_repro(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    out_dir = args.out_dir or os.environ.get("BIPHOTON_OUTDIR") or "."
-    written = run_scenario(args.scenario, out_dir=out_dir)
+    # _resolve, not _out_path: run_scenario creates the directory only once
+    # every artifact is computed
+    written = run_scenario(args.scenario, out_dir=_resolve(args.out_dir or "."))
     for path in written:
         print(f"wrote {path}")
     return EXIT_OK
@@ -222,8 +227,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ThetaConvergenceError, spc.PoleInGridError, FloatingPointError,
-            ArithmeticError) as exc:
+    except (ThetaConvergenceError, spc.PoleInGridError, ArithmeticError) as exc:
         print(f"numerical error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (SchemaError, SpeciesNotFound, OSError, ValueError) as exc:

@@ -39,7 +39,6 @@ from .units import (
     Quantity,
     atoms_in_focal_volume,
     intensity_to_field,
-    number_density,
     photon_flux,
 )
 

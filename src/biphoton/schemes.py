@@ -37,13 +37,11 @@ from .spectrum import spectral_amplitude  # noqa: F401
 from .units import (
     AU_TIME_S,
     C_AU,
-    HARTREE_EV,
     Quantity,
     atoms_in_focal_volume,
     intensity_to_field,
     number_density,
     photon_flux,
-    photon_flux_density,
 )
 
 __all__ = [

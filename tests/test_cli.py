@@ -9,7 +9,7 @@ import pytest
 
 from biphoton import cavity
 from biphoton import schemes as sch
-from biphoton.cli import EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from biphoton.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from biphoton.reporting import bundled_scenario_path
 
 
@@ -237,10 +237,6 @@ class TestRepro:
         assert code == EXIT_OK
         assert "23/25 rows passed" in out
 
-    def test_strict_exit_four(self, capsys):
-        code, _, _ = run(["repro", "--strict"], capsys)
-        assert code == EXIT_ACCEPTANCE
-
     def test_bad_config_schema(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"bogus": 1}')
@@ -260,6 +256,17 @@ class TestRun:
             "fig_s1.csv", "fig2.csv", "rates_narrowband.json", "rates_broadband.json",
             "rates_sequential.json", "rates_scrap.json", "rates_etpa.json",
             "repro_table.json"]
+
+    def test_relative_out_dir_under_outdir_env(self, tmp_path, capsys, monkeypatch):
+        scenario = tmp_path / "small.json"
+        scenario.write_text(json.dumps({"geometry": {"ratios": [1]},
+                                        "spectrum": {"n_omega": 64}}))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("BIPHOTON_OUTDIR", str(tmp_path / "base"))
+        code, _, _ = run(["run", str(scenario), "--out-dir", "rel"], capsys)
+        assert code == EXIT_OK
+        assert (tmp_path / "base" / "rel" / "repro_table.json").exists()
+        assert not (tmp_path / "rel").exists()
 
     def test_missing_scenario(self, capsys):
         code, _, err = run(["run", "does-not-exist.json"], capsys)
