@@ -9,12 +9,6 @@ from biphoton import cavity
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
 
-# Acceptance criterion 7 runs the property suite in its own process under a
-# wall-time budget; collecting it here as well would run every property twice.
-# A path given on the command line is still collected, so
-# ``python -m pytest tests/test_properties.py`` runs the suite alone.
-collect_ignore = ["test_properties.py"]
-
 
 @pytest.fixture
 def rules_up_to_2048(monkeypatch):

@@ -73,6 +73,15 @@ class TestJacobian:
         assert np.allclose(angular_jacobian(Spheroid(1.0, 1.0), theta),
                            np.sin(theta), atol=1e-14)
 
+    @pytest.mark.parametrize("ratio", [1.0, 1.5, 2.0, 5.0, 20.0, 148.0])
+    def test_solid_angle_conserved(self, ratio):
+        s = Spheroid(ratio, 1.0)
+        x, w = np.polynomial.legendre.leggauss(400)
+        theta = 0.5 * math.pi * (x + 1.0)
+        total = 2.0 * math.pi * 0.5 * math.pi * np.dot(
+            w, angular_jacobian(s, theta))
+        assert total == pytest.approx(4.0 * math.pi, rel=1e-9)
+
     def test_vanishes_at_poles(self):
         assert angular_jacobian(Spheroid(2.0, 1.0), 0.0) == 0.0
         assert angular_jacobian(Spheroid(2.0, 1.0), math.pi) == pytest.approx(
@@ -141,6 +150,13 @@ class TestThetaQuadrature:
 
 
 class TestThetaMC:
+    @pytest.mark.parametrize("ratio", [1.0, 1.5, 2.0, 4.0, 10.0])
+    def test_agrees_with_quadrature(self, ratio):
+        s = Spheroid(ratio, 1.0)
+        est, se = theta_factor_mc(s, 1_000_000, seed=42)
+        ref = theta_factor_quadrature(s)
+        assert abs(est - ref) <= 3.0 * se
+
     def test_deterministic(self):
         s = Spheroid(2.0, 1.0)
         a = theta_factor_mc(s, 50_000, seed=11)
