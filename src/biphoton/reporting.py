@@ -27,12 +27,9 @@ from pathlib import Path
 
 from . import schemes as sch
 from . import spectrum as spc
-from .cavity import (
-    Spheroid,
-    THETA_SPHERE,
-    theta_curve,
-    theta_factor_quadrature,
-)
+from .cavity import THETA_SPHERE, theta_curve
+# nothing here calls it; perfbench/test_tracing.py traces a call through this binding
+from .cavity import theta_factor_quadrature  # noqa: F401
 from .registry import default_registry
 from .units import (
     AU_TIME_S,
@@ -211,12 +208,6 @@ class ReproTable:
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "ReproTable":
-        raw = json.loads(text)
-        return cls(rows=[ReproRow(**r) for r in raw["rows"]],
-                   schema_version=raw["schema_version"])
-
     def pretty(self) -> str:
         lines = []
         width = max(len(r.claim_id) for r in self.rows)
@@ -240,34 +231,47 @@ def _correlation(
                                           n_t=scenario.n_t)
 
 
-def _scheme_reports(scenario: Scenario, he) -> dict[str, sch.RateReport]:
-    return {scheme: entry.run(scenario.config(scheme), he)
-            for scheme, entry in sch.SCHEMES.items()}
+def _stages(scenario: Scenario, figure_ratios: list[float]) -> tuple[
+        dict[str, sch.RateReport], list[dict], spc.CorrelationSeries, ReproTable]:
+    """The scheme reports, the Theta curve over ``figure_ratios``, the
+    pole-chain correlation and the reproduction table of ``scenario``,
+    computed once each and in this order.
+
+    The scheme reports are cheap and can overflow, so they run first.
+    Theta(1) and Theta(148), which the table reads, join the one curve call
+    when ``figure_ratios`` lacks them; the returned curve holds only
+    ``figure_ratios``.
+    """
+    he = default_registry().species(scenario.species)
+    reports = {scheme: entry.run(scenario.config(scheme), he)
+               for scheme, entry in sch.SCHEMES.items()}
+    curve = theta_curve(
+        [*figure_ratios, *(r for r in (1.0, 148.0) if r not in figure_ratios)],
+        rel_tol=scenario.geometry_rel_tol)
+    theta = {row["ratio"]: row["theta"] for row in curve}
+    spec, corr = _correlation(scenario, spc.provider_pole(he))
+    table = _repro_table(scenario, he, spec, corr, reports, theta[1.0], theta[148.0])
+    return reports, curve[:len(figure_ratios)], corr, table
 
 
 def repro_report(scenario: Scenario | None = None) -> ReproTable:
     """Recompute every quoted estimate and tabulate pass/fail per row."""
     if scenario is None:
         scenario = Scenario.from_file(bundled_scenario_path())
-    he = default_registry().species(scenario.species)
-    spec, corr = _correlation(scenario, spc.provider_pole(he))
-    return _repro_table(scenario, he, spec, corr, _scheme_reports(scenario, he), {})
+    *_, table = _stages(scenario, [])
+    return table
 
 
 def _repro_table(scenario: Scenario, he, spec: spc.BiphotonSpectrum,
                  corr: spc.CorrelationSeries, reports: dict[str, sch.RateReport],
-                 thetas: dict[float, float]) -> ReproTable:
+                 th_sphere: float, th_148: float) -> ReproTable:
     """Rows of the reproduction table, all computed from ``scenario``: ``spec``
     is the pole-chain spectrum, ``corr`` its correlation, ``reports`` the
-    scheme reports and ``thetas`` maps aspect ratios to Theta already
-    computed; Theta(1) and Theta(148) are computed here if it lacks them."""
+    scheme reports, and ``th_sphere`` and ``th_148`` are Theta(1) and
+    Theta(148)."""
     rows: list[ReproRow] = []
 
     # --- cavity geometry
-    th_sphere, th_148 = (
-        thetas[r] if r in thetas else theta_factor_quadrature(
-            Spheroid(r, 1.0), rel_tol=scenario.geometry_rel_tol)
-        for r in (1.0, 148.0))
     rows.append(_row("theta_sphere", "geometry factor at unit aspect ratio",
                      THETA_SPHERE, th_sphere, "exact-formula", 1e-3))
     rows.append(_row("theta_plateau_ratio",
@@ -425,22 +429,17 @@ def run_scenario(path, out_dir=None) -> list[Path]:
     """
     scenario = Scenario.from_file(path)
     out = Path(out_dir) if out_dir is not None else Path.cwd()
-    he = default_registry().species(scenario.species)
-    # the scheme reports are cheap and can overflow, so they run first
-    reports = _scheme_reports(scenario, he)
-    curve = theta_curve(scenario.ratios, rel_tol=scenario.geometry_rel_tol)
+    reports, curve, corr, table = _stages(scenario, scenario.ratios)
     # the repro rows use the pole chain; fig2.csv shows the scenario's provider
-    spec, corr = _correlation(scenario, spc.provider_pole(he))
     fig2 = corr if scenario.provider == "pole" else _correlation(
-        scenario, spc.PROVIDERS[scenario.provider](he))[1]
-    thetas = {row["ratio"]: row["theta"] for row in curve}
+        scenario, spc.PROVIDERS[scenario.provider](
+            default_registry().species(scenario.species)))[1]
     texts = {
         "fig_s1.csv": _theta_curve_csv(curve),
         "fig2.csv": _correlation_csv(fig2),
         **{f"rates_{scheme.split('-')[0]}.json": report.to_json() + "\n"
            for scheme, report in reports.items()},
-        "repro_table.json": _repro_table(scenario, he, spec, corr, reports,
-                                         thetas).to_json() + "\n",
+        "repro_table.json": table.to_json() + "\n",
     }
     out.mkdir(parents=True, exist_ok=True)
     for name, text in texts.items():

@@ -176,7 +176,7 @@ class NonFiniteRateError(ArithmeticError):
 
 @dataclass(frozen=True)
 class RateReport:
-    """Per-step budget with units and provenance; lossless JSON round-trip.
+    """Per-step budget with units and provenance.
 
     Every value is finite, so the JSON is valid: a non-finite step raises
     ``NonFiniteRateError`` naming the scheme and the step.
@@ -195,16 +195,6 @@ class RateReport:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RateReport":
-        raw = json.loads(text)
-        return cls(
-            scheme=raw["scheme"],
-            final_rate=ReportEntry(**raw["final_rate"]),
-            steps={k: ReportEntry(**v) for k, v in raw["steps"].items()},
-            schema_version=raw["schema_version"],
-        )
 
 
 def _field_au(field_q: Quantity) -> float:
@@ -585,7 +575,6 @@ class AbsorberChain:
 
     strength_au: float
     delta_mi_au: float
-    name: str = "absorber"
 
     def chain(self, omega_au):
         return self.strength_au / (np.asarray(omega_au, dtype=float) - self.delta_mi_au)
@@ -597,7 +586,6 @@ def he_absorber(species: SpeciesData) -> AbsorberChain:
     return AbsorberChain(
         strength_au=math.sqrt(3.0 * species.f_g2p / (2.0 * djg)),
         delta_mi_au=djg,
-        name=f"{species.name} 1s2p",
     )
 
 

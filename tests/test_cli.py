@@ -9,6 +9,7 @@ import pytest
 
 from biphoton import cavity
 from biphoton import schemes as sch
+from biphoton import spectrum as spc
 from biphoton.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from biphoton.reporting import bundled_scenario_path
 
@@ -243,6 +244,21 @@ class TestRepro:
         code, _, err = run(["repro", "--config", str(bad)], capsys)
         assert code == EXIT_CONFIG
         assert "unknown key" in err
+
+    def test_overflowing_override_exits_before_the_spectrum(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # repro runs the scheme reports first, as run does
+        def spectral_amplitude(*args, **kwargs):
+            raise AssertionError("the spectrum was computed")
+
+        monkeypatch.setattr(spc, "spectral_amplitude", spectral_amplitude)
+        config = tmp_path / "overflow.json"
+        config.write_text(json.dumps(
+            {"schemes": {"etpa": {"molecules": 1e300, "photon_rate_hz": 1e300}}}))
+        code, out, err = run(["repro", "--config", str(config)], capsys)
+        assert code == EXIT_NUMERICAL
+        assert out == ""
+        assert "etpa" in err
 
 
 class TestRun:

@@ -1,8 +1,12 @@
 """Every name a module lists in ``__all__`` exists on it, so a stale entry
-fails here and not only under ``from biphoton.<module> import *``."""
+fails here and not only under ``from biphoton.<module> import *``; and every
+module-level import is read, so an unused one fails here."""
 
+import ast
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -20,3 +24,45 @@ def test_all_names_exist(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+SOURCES = sorted(p for p in Path(biphoton.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_imports_are_read(path):
+    """Every module-level import is read in its module or named in ``__all__``.
+
+    The one exemption is a binding a perfbench test traces calls through: its
+    line carries ``# noqa: F401`` under a comment naming that test file, and
+    that file names the binding.
+    """
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    unread = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name in read or name in exported:
+                continue
+            above = lines[node.lineno - 2].strip() if node.lineno > 1 else ""
+            cited = re.search(r"perfbench/\w+\.py", above)
+            if (lines[node.end_lineno - 1].endswith("# noqa: F401")
+                    and above.startswith("#") and cited
+                    and name in (REPO_ROOT / cited.group()).read_text()):
+                continue
+            unread.append(f"{path.name}:{node.lineno} {name}")
+    assert unread == []

@@ -17,6 +17,7 @@ from biphoton.reporting import (
     ReproTable,
     Scenario,
     SchemaError,
+    _theta_curve_csv,
     bundled_scenario_path,
     repro_report,
     run_scenario,
@@ -187,10 +188,6 @@ class TestReproTable:
         allowed = {"exact-formula", "order-of-magnitude", "shape-only"}
         assert {r.tolerance_class for r in table.rows} <= allowed
 
-    def test_json_round_trip(self, table):
-        again = ReproTable.from_json(table.to_json())
-        assert again == table
-
     def test_pretty_summary_line(self, table):
         text = table.pretty()
         assert text.splitlines()[-1] == "23/25 rows passed"
@@ -251,6 +248,39 @@ class TestRunScenario:
         files, *_ = counted_run
         repro = next(p for p in files if p.name == "repro_table.json")
         assert table.to_json() + "\n" == repro.read_text()
+
+
+class TestCurveWithoutTableRatios:
+    """A scenario whose ratios lack 1 and 148: the table still reads Theta(1)
+    and Theta(148) from the one curve call, and fig_s1.csv holds only the
+    scenario's ratios."""
+
+    @pytest.fixture(scope="class")
+    def scenario_path(self, tmp_path_factory):
+        raw = json.loads(bundled_scenario_path().read_text())
+        raw["geometry"]["ratios"] = [2, 3]
+        raw["spectrum"]["n_omega"] = 512
+        path = tmp_path_factory.mktemp("ratios") / "scenario.json"
+        path.write_text(json.dumps(raw))
+        return path
+
+    def test_figure_holds_only_scenario_ratios(self, scenario_path, tmp_path):
+        run_scenario(scenario_path, tmp_path)
+        assert (tmp_path / "fig_s1.csv").read_text() == _theta_curve_csv(
+            cavity.theta_curve([2.0, 3.0], rel_tol=1e-7))
+        assert (tmp_path / "repro_table.json").read_text() == \
+            repro_report(Scenario.from_file(scenario_path)).to_json() + "\n"
+
+    def test_each_theta_rule_built_once(self, scenario_path, monkeypatch):
+        built, build = Counter(), cavity.gauss_legendre
+
+        def gauss_legendre(n, length):
+            built[n] += 1
+            return build(n, length)
+
+        monkeypatch.setattr(cavity, "gauss_legendre", gauss_legendre)
+        repro_report(Scenario.from_file(scenario_path))
+        assert built and set(built.values()) == {1}
 
 
 class TestProviderChoice:

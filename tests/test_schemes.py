@@ -210,11 +210,6 @@ class TestCavityTransfer:
 
 
 class TestReportSerialization:
-    def test_round_trip(self):
-        rep = biphoton_rate_narrowband(SchemeConfig(), HE)
-        again = RateReport.from_json(rep.to_json())
-        assert again == rep
-
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_step_is_rejected(self, value):
         with pytest.raises(NonFiniteRateError,
