@@ -142,6 +142,24 @@ class TestThetaQuadrature:
             theta_factor_quadrature(Spheroid(148.0, 1.0), rel_tol=1e-12)
         assert math.isfinite(info.value.estimate)
 
+    @pytest.mark.parametrize("convention", ["physical", "printed"])
+    def test_level_working_set(self, convention):
+        """A 512 x 64 level holds two (3, 3, n_theta, n_phi) tensors, the basis
+        block and the summed tensor: 4.8 MiB traced, against 7.0 MiB with a
+        full-size e1 (x) e1 as a third."""
+        token = cavity._CURVE_RULES.set({})
+        try:
+            _grid(512, 64)  # build the rule outside the trace
+            tracemalloc.start()
+            try:
+                cavity._theta_on_grid(Spheroid(148.0, 1.0), 512, 64, convention)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        finally:
+            cavity._CURVE_RULES.reset(token)
+        assert peak <= 2.5 * 9 * 512 * 64 * 8
+
     def test_bad_args(self):
         with pytest.raises(ValueError):
             theta_factor_quadrature(Spheroid(2.0, 1.0), rel_tol=0.0)
@@ -221,6 +239,20 @@ class TestGridBasis:
                                _pol_basis(s, tt, pp)):
             grid = np.broadcast_to(grid, point.shape)
             np.testing.assert_array_equal(grid.view(np.int64), point.view(np.int64))
+
+    @pytest.mark.parametrize("convention", ["physical", "printed"])
+    @pytest.mark.parametrize("ratio", [1.0, 1.0 + 1e-12, 148.0])
+    def test_tensor_sum_matches_meshgrid_bit_for_bit(self, ratio, convention):
+        s = Spheroid(ratio, 1.0)
+        th, _wth, ph, _wph = _grid(64, 32)
+        tt, pp = np.meshgrid(th, ph, indexing="ij")
+        e1, e2, e2p, _lp, _lm = _pol_basis(s, tt, pp)
+        sign_s = -1.0 if convention == "physical" else 1.0
+        point = (sign_s * np.einsum("a...,b...->ab...", e1, e1)
+                 + np.einsum("a...,b...->ab...", e2, e2p))
+        grid = _pol_tensor_sum(s, th[:, None], ph[None, :], convention)
+        assert grid.shape == point.shape
+        np.testing.assert_array_equal(grid.view(np.int64), point.view(np.int64))
 
 
 # theta_factor_mc(Spheroid(ratio, 1.0), 100_003, seed=9, convention=...)
