@@ -25,13 +25,13 @@ monotone decrease of the curve.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from contextvars import ContextVar
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import LazyNumpy
 from .quadrature import gauss_legendre
+
+np = LazyNumpy(globals())
 
 __all__ = [
     "Spheroid",
@@ -147,6 +147,8 @@ def _pol_tensor_mean(s: Spheroid, theta, phi, convention: str) -> np.ndarray:
     matrix products instead of a (3, 3, n) tensor."""
     e1, e2, e2p, _lp, _lm = _pol_basis(s, theta, phi)
     sign_s = -1.0 if convention == "physical" else 1.0
+    # keep this (sign_s * e1) @ e1.T: numpy sends x @ x.T on one buffer to
+    # BLAS syrk, which sums in another order than gemm and moves every MC pin
     return (sign_s * e1 @ e1.T + e2 @ e2p.T) / len(theta)
 
 
@@ -298,6 +300,9 @@ def theta_factor_mc(
             phi = phi_rng.random(m) * 2.0 * math.pi
             mean += m / n * _pol_tensor_mean(s, theta, phi, convention)
         return mean
+
+    # imported here, not at the top: it loads threading and logging
+    from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         means = np.stack(list(pool.map(run_batch, range(_BATCHES))))  # (batch, 3, 3)

@@ -14,10 +14,9 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import schemes as sch
 from . import spectrum as spc
+from ._numpy import LazyNumpy
 from .cavity import (
     Spheroid,
     ThetaConvergenceError,
@@ -36,6 +35,8 @@ from .reporting import (
     repro_report,
     run_scenario,
 )
+
+np = LazyNumpy(globals())
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-import numpy as np
+from ._numpy import LazyNumpy
+
+np = LazyNumpy(globals())
 
 
 def gauss_legendre(n: int, length: float):

@@ -145,15 +145,26 @@ class Scenario:
             "ratios", [1, 1.5, 2, 3, 5, 8, 12, 20, 40, 80, 148])]
         if any(r < 1 for r in ratios):
             raise SchemaError("$.geometry.ratios: aspect ratios must be >= 1")
+        # the numeric layer rejects these too, but only once the theta curve
+        # and the frequency rule are built
+        n_omega = spectrum.get("n_omega", 2048)
+        n_t = spectrum.get("n_t", 4096)
+        t_max_au = float(spectrum.get("t_max_au", 40.0))
+        for key, n in (("n_omega", n_omega), ("n_t", n_t)):
+            if n < 2:
+                raise SchemaError(f"$.spectrum.{key} must be >= 2, got {n}")
+        if not (math.isfinite(t_max_au) and t_max_au > 0):
+            raise SchemaError(f"$.spectrum.t_max_au must be finite and > 0, "
+                              f"got {t_max_au}")
         return cls(
             name=raw.get("name", "scenario"),
             species=raw.get("species", "He"),
             ratios=ratios,
             geometry_rel_tol=float(geometry.get("rel_tol", 1e-7)),
             provider=provider,
-            n_omega=spectrum.get("n_omega", 2048),
-            t_max_au=float(spectrum.get("t_max_au", 40.0)),
-            n_t=spectrum.get("n_t", 4096),
+            n_omega=n_omega,
+            t_max_au=t_max_au,
+            n_t=n_t,
             scheme_overrides={k: dict(v) for k, v in schemes.items()},
         )
 

@@ -28,8 +28,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, asdict
 
-import numpy as np
-
+from ._numpy import LazyNumpy
 from .registry import SpeciesData
 from .spectrum import BiphotonSpectrum
 # nothing here calls it; perfbench/test_tracing.py traces a call through this binding
@@ -43,6 +42,8 @@ from .units import (
     number_density,
     photon_flux,
 )
+
+np = LazyNumpy(globals())
 
 __all__ = [
     "SCHEMES",

@@ -33,11 +33,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import LazyNumpy
 from .quadrature import gauss_legendre
 from .registry import SpeciesData
 from .units import AU_TIME_S, C_AU, HARTREE_EV, Quantity
+
+np = LazyNumpy(globals())
 
 __all__ = [
     "FlatChain",
@@ -289,8 +290,8 @@ def flat_correlation_closed_form(t_au, delta_au: float):
     whose t=0 value is D^7/140.  The returned value is normalized by that, so
     the envelope is Gamma(9/2)*(2/z)^{7/2}*J_{7/2}(z) with limit 1 at z -> 0.
     Used as the analytic oracle for the flat provider's correlation; scipy is
-    imported here, on the first call, so that ``import biphoton`` needs numpy
-    only.
+    imported here, on the first call, so that no other path of the package
+    loads it.
     """
     from scipy.special import jv
 

@@ -354,10 +354,93 @@ class TestRun:
         assert not (tmp_path / "fig2.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "repro"])
+@pytest.mark.parametrize("spectrum, message", [
+    ({"n_t": 1}, "$.spectrum.n_t must be >= 2, got 1"),
+    ({"n_omega": 1}, "$.spectrum.n_omega must be >= 2, got 1"),
+    ({"t_max_au": -40}, "$.spectrum.t_max_au must be finite and > 0, got -40.0"),
+    ({"t_max_au": math.inf}, "$.spectrum.t_max_au must be finite and > 0, got inf"),
+], ids=["n_t", "n_omega", "negative-t_max", "infinite-t_max"])
+def test_bad_spectrum_setting_fails_before_any_rule(command, spectrum, message,
+                                                    tmp_path, capsys, monkeypatch):
+    def gauss_legendre(*args):
+        raise AssertionError("a quadrature rule was built")
+
+    monkeypatch.setattr(cavity, "gauss_legendre", gauss_legendre)
+    monkeypatch.setattr(spc, "gauss_legendre", gauss_legendre)
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps({"spectrum": spectrum}))
+    argv = {"run": ["run", str(scenario), "--out-dir", str(tmp_path / "out")],
+            "repro": ["repro", "--config", str(scenario)]}[command]
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert message in err
+
+
+def _fresh_python(script: str, cwd) -> str:
+    """Run ``script`` in a new interpreter on this checkout; return its stdout."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", script], cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_config_paths_do_not_import_numpy(tmp_path):
+    """The registry, the scenario schema, the scheme budgets and the exit-2
+    paths run on the stdlib alone: a fresh process that takes them loads no
+    numpy and no concurrent.futures module."""
+    bad = {"unknown-key": {"bogus": 1}, "n_t": {"spectrum": {"n_t": 1}},
+           "n_omega": {"spectrum": {"n_omega": 1}},
+           "t_max_au": {"spectrum": {"t_max_au": -40}},
+           "nan-t_max_au": {"spectrum": {"t_max_au": math.nan}}}
+    for name, scenario in bad.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(scenario))
+    script = f"""
+import json, sys
+import biphoton
+from biphoton.cli import main
+from biphoton.registry import default_registry
+from biphoton.reporting import Scenario, bundled_scenario_path
+default_registry().species("He")
+Scenario.from_file(bundled_scenario_path())
+for scheme in {list(sch.SCHEMES)!r}:
+    assert main(["rates", scheme]) == 0, scheme
+assert main(["theta", "--ratio", "0.5"]) == 2
+for name in {list(bad)!r}:
+    assert main(["run", name + ".json", "--out-dir", "out"]) == 2, name
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] == "numpy"
+                        or m.startswith("concurrent.futures"))))
+"""
+    out = _fresh_python(script, tmp_path)
+    assert json.loads(out.splitlines()[-1]) == []
+
+
+def test_first_numerical_call_rebinds_np_to_numpy(tmp_path):
+    """Each module's ``np`` stands in for numpy until its first numerical
+    call and is numpy itself after it, so later calls pay nothing extra."""
+    script = """
+import numpy
+from biphoton import cavity, cli, quadrature, schemes, spectrum
+modules = (quadrature, cavity, spectrum, schemes, cli)
+assert not any(m.np is numpy for m in modules)
+quadrature.gauss_legendre(4, 1.0)
+cavity.angular_jacobian(cavity.Spheroid(2.0, 1.0), [0.5])
+spectrum.FlatChain(1.0).chain_sum([0.5])
+schemes.AbsorberChain(1.0, 2.0).chain([0.5])
+assert cli.main(["theta-curve", "--points", "2", "--out", "curve.csv"]) == 0
+print([m.__name__ for m in modules if m.np is not numpy])
+"""
+    out = _fresh_python(script, tmp_path)
+    assert out.splitlines()[-1] == "[]"
+
+
 def test_cli_paths_do_not_import_scipy(tmp_path):
     """scipy serves only the Bessel oracle, so a fresh process that imports
     biphoton and runs these commands loads no scipy module."""
-    src = Path(__file__).resolve().parents[1] / "src"
     script = f"""
 import json, sys
 from biphoton.cli import main
@@ -368,8 +451,5 @@ for argv in (["run", str(bundled_scenario_path()), "--out-dir", {str(tmp_path)!r
     assert main(argv) == 0, argv
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
-    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
-                          env={**os.environ, "PYTHONPATH": str(src)},
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    out = _fresh_python(script, tmp_path)
+    assert json.loads(out.splitlines()[-1]) == []
