@@ -102,6 +102,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_correlation(args) -> int:
+    spc._check_time_grid(args.tmax_au, args.n_t)
     provider = _provider(args.species, args.provider)
     spec = spc.spectral_amplitude(provider, n_points=args.n_omega)
     corr = spc.correlation_function(spec, t_max_au=args.tmax_au, n_t=args.n_t)

@@ -150,12 +150,12 @@ class Scenario:
         n_omega = spectrum.get("n_omega", 2048)
         n_t = spectrum.get("n_t", 4096)
         t_max_au = float(spectrum.get("t_max_au", 40.0))
-        for key, n in (("n_omega", n_omega), ("n_t", n_t)):
-            if n < 2:
-                raise SchemaError(f"$.spectrum.{key} must be >= 2, got {n}")
-        if not (math.isfinite(t_max_au) and t_max_au > 0):
-            raise SchemaError(f"$.spectrum.t_max_au must be finite and > 0, "
-                              f"got {t_max_au}")
+        if n_omega < 2:
+            raise SchemaError(f"$.spectrum.n_omega must be >= 2, got {n_omega}")
+        try:
+            spc._check_time_grid(t_max_au, n_t, "$.spectrum.")
+        except ValueError as exc:
+            raise SchemaError(str(exc)) from None
         return cls(
             name=raw.get("name", "scenario"),
             species=raw.get("species", "He"),
@@ -169,7 +169,8 @@ class Scenario:
         )
 
     def config(self, scheme: str) -> sch.SchemeConfig:
-        return sch.SCHEMES[scheme].config(self.scheme_overrides.get(scheme, {}))
+        return sch.SchemeConfig(**{**sch.SCHEMES[scheme].defaults,
+                                   **self.scheme_overrides.get(scheme, {})})
 
 
 def bundled_scenario_path() -> Path:
@@ -254,14 +255,15 @@ def _stages(scenario: Scenario, figure_ratios: list[float]) -> tuple[
     ``figure_ratios``.
     """
     he = default_registry().species(scenario.species)
-    reports = {scheme: entry.run(scenario.config(scheme), he)
+    configs = {scheme: scenario.config(scheme) for scheme in sch.SCHEMES}
+    reports = {scheme: entry.run(configs[scheme], he)
                for scheme, entry in sch.SCHEMES.items()}
     curve = theta_curve(
         [*figure_ratios, *(r for r in (1.0, 148.0) if r not in figure_ratios)],
         rel_tol=scenario.geometry_rel_tol)
     theta = {row["ratio"]: row["theta"] for row in curve}
     spec, corr = _correlation(scenario, spc.provider_pole(he))
-    table = _repro_table(scenario, he, spec, corr, reports, theta[1.0], theta[148.0])
+    table = _repro_table(configs, he, spec, corr, reports, theta[1.0], theta[148.0])
     return reports, curve[:len(figure_ratios)], corr, table
 
 
@@ -273,13 +275,14 @@ def repro_report(scenario: Scenario | None = None) -> ReproTable:
     return table
 
 
-def _repro_table(scenario: Scenario, he, spec: spc.BiphotonSpectrum,
-                 corr: spc.CorrelationSeries, reports: dict[str, sch.RateReport],
+def _repro_table(configs: dict[str, sch.SchemeConfig], he,
+                 spec: spc.BiphotonSpectrum, corr: spc.CorrelationSeries,
+                 reports: dict[str, sch.RateReport],
                  th_sphere: float, th_148: float) -> ReproTable:
-    """Rows of the reproduction table, all computed from ``scenario``: ``spec``
-    is the pole-chain spectrum, ``corr`` its correlation, ``reports`` the
-    scheme reports, and ``th_sphere`` and ``th_148`` are Theta(1) and
-    Theta(148)."""
+    """Rows of the reproduction table, all computed from one scenario:
+    ``configs`` are its scheme configs, ``spec`` the pole-chain spectrum,
+    ``corr`` its correlation, ``reports`` the scheme reports, and
+    ``th_sphere`` and ``th_148`` are Theta(1) and Theta(148)."""
     rows: list[ReproRow] = []
 
     # --- cavity geometry
@@ -349,9 +352,8 @@ def _repro_table(scenario: Scenario, he, spec: spc.BiphotonSpectrum,
     rows.append(_row("narrowband_rate", "narrowband pair generation rate (1/s)",
                      1e22, chained_rate, "order-of-magnitude", 10.0,
                      note="chained from the absorption_fraction row"))
-    cfg_b = scenario.config("broadband-4photon")
     width_hz = 1.0 / he.lifetime_2s.to("s").value
-    overlap = width_hz / cfg_b.bandwidth.to("Hz").value
+    overlap = width_hz / configs["broadband-4photon"].bandwidth_hz
     rows.append(_row("broadband_rate", "broadband pair generation rate (1/s)",
                      1e11, chained_rate * overlap, "order-of-magnitude", 10.0,
                      note="narrowband row x natural linewidth / bandwidth"))
@@ -361,8 +363,7 @@ def _repro_table(scenario: Scenario, he, spec: spc.BiphotonSpectrum,
     rows.append(_row("steady_fraction", "steady-state excited fraction",
                      0.47, rep_seq.steps["steady_state_fraction"].value,
                      "exact-formula", 0.05, note="tau_2p default 2.05 ns"))
-    cfg_s = scenario.config("scrap")
-    scrap = sch.scrap_transfer_probability(cfg_s, he)
+    scrap = sch.scrap_transfer_probability(configs["scrap"], he)
     rows.append(_row("scrap_probability", "adiabatic transfer probability",
                      0.99, max(scrap.probability, scrap.probability_other_window),
                      "shape-only", 0.0, threshold=True,
@@ -379,7 +380,7 @@ def _repro_table(scenario: Scenario, he, spec: spc.BiphotonSpectrum,
                      note="sigma2/(A_e*T_e) with the stated inputs gives "
                           "1e-27; the quoted 1e-29 is not reproducible from "
                           "the printed formula"))
-    cfg_e = scenario.config("etpa")
+    cfg_e = configs["etpa"]
     per_mol = 1e-29 * cfg_e.photon_rate_hz / sch.ENTANGLEMENT_AREA_CM2
     rows.append(_row("etpa_per_molecule", "ETPA rate per molecule (1/s)",
                      1e-9, per_mol, "order-of-magnitude", 3.0,

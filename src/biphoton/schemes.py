@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 from ._numpy import LazyNumpy
 from .registry import SpeciesData
@@ -49,7 +49,6 @@ __all__ = [
     "SCHEMES",
     "Scheme",
     "SchemeConfig",
-    "OVERRIDE_KEYS",
     "PUMP_PHOTON_ENERGY",
     "LAMP_INTENSITY",
     "LAMP_PHOTON_ENERGY",
@@ -100,68 +99,54 @@ def _positive(name, value):
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Inputs for one scheme estimate.  Defaults are the reference scenario:
-    100 um spot, 1 mm path, 1 bar, pump at 1e14 W/cm^2.  Each field is set
-    by one scenario override key of ``OVERRIDE_KEYS``; the printed inputs
-    that no scenario varies are the module constants above."""
+    """Inputs for one scheme estimate.  Each field is the scenario override
+    key that sets it (``schemes.<id>.<field>`` in a scenario file), a plain
+    number in the unit its name carries.  Defaults are the reference
+    scenario: 100 um spot, 1 mm path, 1 bar, pump at 1e14 W/cm^2.  The
+    printed inputs that no scenario varies are the module constants above."""
 
-    intensity: Quantity = Quantity(1e14, "W/cm^2")
-    spot_diameter: Quantity = Quantity(100.0, "um")
-    path_length: Quantity = Quantity(1.0, "mm")
+    intensity_wcm2: float = 1e14
+    spot_diameter_um: float = 100.0
+    path_length_mm: float = 1.0
     pressure_bar: float = 1.0
     temperature_k: float = 293.0
     lineshape_factor_au: float = 1.0
     # broadband / scrap
-    bandwidth: Quantity | None = None              # ordinary frequency
-    pulse_duration: Quantity = Quantity(50.0, "fs")
+    bandwidth_hz: float | None = None              # ordinary frequency
+    pulse_duration_fs: float = 50.0
     repetition_rate_hz: float = 1e5
     excitation_fraction: float = 0.01
     n_atoms: float | None = None                   # override for focal-volume count
     # sequential
-    tau_2p: Quantity = Quantity(2.05e-9, "s")
+    tau_2p_ns: float = 2.05
     # etpa
     photon_rate_hz: float = 1e12
     molecules: float = 1e12
 
     def __post_init__(self):
-        if not (math.isfinite(self.intensity.value) and self.intensity.value >= 0):
-            raise ValueError(f"intensity must be finite and >= 0, got {self.intensity}")
-        for name in ("spot_diameter", "path_length", "pulse_duration", "tau_2p"):
-            _positive(name, getattr(self, name).value)
-        for name in ("pressure_bar", "temperature_k", "lineshape_factor_au",
-                     "repetition_rate_hz", "n_atoms", "molecules", "photon_rate_hz"):
-            _positive(name, getattr(self, name))
-        if self.bandwidth is not None:
-            _positive("bandwidth", self.bandwidth.value)
+        if not (math.isfinite(self.intensity_wcm2) and self.intensity_wcm2 >= 0):
+            raise ValueError(
+                f"intensity_wcm2 must be finite and >= 0, got {self.intensity_wcm2}")
+        for f in fields(self):
+            if f.name not in ("intensity_wcm2", "excitation_fraction"):
+                _positive(f.name, getattr(self, f.name))
         if not 0 <= self.excitation_fraction <= 1:
-            raise ValueError("excitation_fraction must be in [0, 1]")
+            raise ValueError(
+                f"excitation_fraction must be in [0, 1], got {self.excitation_fraction}")
 
     def atoms(self) -> float:
         if self.n_atoms is not None:
             return self.n_atoms
         return atoms_in_focal_volume(
-            self.pressure_bar, self.temperature_k, self.spot_diameter, self.path_length
+            self.pressure_bar, self.temperature_k,
+            Quantity(self.spot_diameter_um, "um"), Quantity(self.path_length_mm, "mm"),
         )
 
 
-# scenario override key -> (SchemeConfig field, unit of its Quantity or None)
-OVERRIDE_KEYS = {
-    "intensity_wcm2": ("intensity", "W/cm^2"),
-    "bandwidth_hz": ("bandwidth", "Hz"),
-    "spot_diameter_um": ("spot_diameter", "um"),
-    "path_length_mm": ("path_length", "mm"),
-    "tau_2p_ns": ("tau_2p", "ns"),
-    "pulse_duration_fs": ("pulse_duration", "fs"),
-    **{name: (name, None) for name in (
-        "pressure_bar", "temperature_k", "repetition_rate_hz", "excitation_fraction",
-        "n_atoms", "molecules", "photon_rate_hz", "lineshape_factor_au")},
-}
-
-
 def _bandwidth_hz(config: SchemeConfig, scheme: str) -> float:
-    if config.bandwidth is None:
-        raise ValueError(f"scheme {scheme!r} requires a bandwidth")
-    return config.bandwidth.to("Hz").value
+    if config.bandwidth_hz is None:
+        raise ValueError(f"scheme {scheme!r} requires bandwidth_hz")
+    return config.bandwidth_hz
 
 
 @dataclass(frozen=True)
@@ -258,15 +243,16 @@ def attenuation_fraction(
 
 def _narrowband_steps(config: SchemeConfig, species: SpeciesData):
     density = number_density(config.pressure_bar, config.temperature_k)
-    flux = photon_flux(config.intensity, PUMP_PHOTON_ENERGY, config.spot_diameter)
+    intensity = Quantity(config.intensity_wcm2, "W/cm^2")
+    flux = photon_flux(intensity, PUMP_PHOTON_ENERGY,
+                       Quantity(config.spot_diameter_um, "um"))
     r4 = four_photon_rate(
-        species, intensity_to_field(config.intensity),
+        species, intensity_to_field(intensity),
         lineshape_factor_au=config.lineshape_factor_au,
     )
-    alpha = absorption_coefficient(
-        4, r4, density, config.intensity, PUMP_PHOTON_ENERGY
-    )
-    frac = attenuation_fraction(config.intensity, alpha, config.path_length, 4)
+    alpha = absorption_coefficient(4, r4, density, intensity, PUMP_PHOTON_ENERGY)
+    frac = attenuation_fraction(intensity, alpha,
+                                Quantity(config.path_length_mm, "mm"), 4)
     pair_rate = flux.value * frac / 4.0
     steps = {
         "pump_photon_flux": ReportEntry(flux.value, "1/s",
@@ -355,18 +341,19 @@ def biphoton_rate_sequential(config: SchemeConfig, species: SpeciesData) -> Rate
     turnover (steady-state fraction x focal-volume atoms per second) and the
     lamp photon supply; the binding constraint is named in the report.
     """
-    tau_au = config.tau_2p.au
+    tau_2p = Quantity(config.tau_2p_ns, "ns")
+    tau_au = tau_2p.au
     r1 = one_photon_rate(species.f_g2p, LAMP_INTENSITY, LAMP_PHOTON_ENERGY, tau_au)
     r2 = one_photon_rate(species.f_2p2s, LASER_INTENSITY, LASER_PHOTON_ENERGY, tau_au)
-    frac = steady_state_fraction(r1, config.tau_2p)
+    frac = steady_state_fraction(r1, tau_2p)
     atoms = config.atoms()
     inventory = frac * atoms
     lamp_supply = photon_flux(
-        LAMP_INTENSITY, LAMP_PHOTON_ENERGY, config.spot_diameter
+        LAMP_INTENSITY, LAMP_PHOTON_ENERGY, Quantity(config.spot_diameter_um, "um")
     ).value
     rate = min(inventory, lamp_supply)
     binding = "excited-inventory" if inventory <= lamp_supply else "lamp-photon-supply"
-    saturated = r2.value * config.tau_2p.to("s").value > 1.0
+    saturated = r2.value * tau_2p.to("s").value > 1.0
     steps = {
         "lamp_rate_r1": ReportEntry(r1.value, "1/s",
                                     "pi*f*E0^2*tau_2p/w, f=1s^2->1s2p"),
@@ -446,11 +433,12 @@ def scrap_transfer_probability(config: SchemeConfig, species: SpeciesData) -> Sc
     delta_hz = _bandwidth_hz(config, "scrap")
     omega_eg_hz = (
         2.0 * math.pi
-        * four_photon_rabi(species, intensity_to_field(config.intensity)).au
+        * four_photon_rabi(
+            species, intensity_to_field(Quantity(config.intensity_wcm2, "W/cm^2"))).au
         / AU_TIME_S
     )
     omega_hz = math.sqrt(omega_eg_hz**2 + (delta_hz / 2.0) ** 2)
-    tau = config.pulse_duration
+    tau = Quantity(config.pulse_duration_fs, "fs")
     exponent = lz_integral(omega_hz, delta_hz, tau, window="ramp")
     exponent_other = lz_integral(omega_hz, delta_hz, tau, window="centered")
     return ScrapResult(
@@ -514,18 +502,12 @@ def etpa_ion_rate(config: SchemeConfig) -> RateReport:
 @dataclass(frozen=True)
 class Scheme:
     """One excitation scheme: its ``(config, species) -> RateReport`` runner,
-    the override keys the runner reads, and scenario defaults for some of them."""
+    the ``SchemeConfig`` fields the runner reads (the override keys a
+    scenario may set on it), and scenario defaults for some of them."""
 
     run: Callable[[SchemeConfig, SpeciesData], RateReport]
     keys: tuple[str, ...]
     defaults: dict[str, float] = field(default_factory=dict)
-
-    def config(self, overrides: dict[str, float]) -> SchemeConfig:
-        kwargs = {}
-        for key, value in {**self.defaults, **overrides}.items():
-            name, unit = OVERRIDE_KEYS[key]
-            kwargs[name] = value if unit is None else Quantity(value, unit)
-        return SchemeConfig(**kwargs)
 
 
 _PUMP_KEYS = ("intensity_wcm2", "spot_diameter_um", "path_length_mm",

@@ -206,6 +206,17 @@ class CorrelationSeries:
         return np.abs(self.values)
 
 
+def _check_time_grid(t_max_au: float, n_t: int, path: str = "") -> None:
+    """Raise ``ValueError`` unless ``t_max_au`` and ``n_t`` make a time grid
+    ``correlation_function`` accepts; ``path`` prefixes the names in the
+    message.  Needs no numpy, so callers can check before any rule is built."""
+    if not (math.isfinite(t_max_au) and t_max_au > 0):
+        raise ValueError(f"{path}t_max_au must be finite and > 0, got {t_max_au}")
+    if n_t < 2:
+        raise ValueError(f"{path}n_t must be >= 2, got {n_t}: the time grid needs "
+                         "points on both sides of t = 0")
+
+
 def correlation_function(
     spectrum: BiphotonSpectrum, t_max_au: float = 40.0, n_t: int = 4096
 ) -> CorrelationSeries:
@@ -225,11 +236,7 @@ def correlation_function(
     into the block before it: BLAS takes another path for a single row and
     rounds that row differently.
     """
-    if not (math.isfinite(t_max_au) and t_max_au > 0):
-        raise ValueError(f"t_max_au must be finite and > 0, got {t_max_au}")
-    if n_t < 2:
-        raise ValueError(f"n_t must be >= 2, got {n_t}: the time grid needs "
-                         "points on both sides of t = 0")
+    _check_time_grid(t_max_au, n_t)
     max_gap = float(np.max(np.diff(spectrum.omega_au)))
     if max_gap * t_max_au > math.pi / 2.0:
         raise ValueError(

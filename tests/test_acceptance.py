@@ -237,7 +237,7 @@ def test_criterion_6_order_of_magnitude_budgets():
     oom("broadband rate", 1e11, narrow * width / 5e12, factor=10.0)
     seq = biphoton_rate_sequential(SchemeConfig(), HE)
     oom("sequential rate", 3.6e13, seq.final_rate.value)
-    cfg_s = SchemeConfig(bandwidth=Quantity(8.8e12, "Hz"), n_atoms=1e13)
+    cfg_s = SchemeConfig(bandwidth_hz=8.8e12, n_atoms=1e13)
     oom("SCRAP rate", 1e16, scrap_biphoton_rate(cfg_s, HE).final_rate.value)
     res = scrap_transfer_probability(cfg_s, HE)
     gate.check(max(res.probability, res.probability_other_window) > 0.99,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -126,6 +127,19 @@ class TestSpectrumAndCorrelation:
         assert code == EXIT_CONFIG
         assert "n_t must be >= 2" in err
 
+    @pytest.mark.parametrize("option", [["--n-t", "1"], ["--tmax-au", "nan"]],
+                             ids=["n_t", "t_max_au"])
+    def test_bad_time_grid_fails_before_any_rule(self, option, tmp_path, capsys,
+                                                 monkeypatch):
+        def gauss_legendre(*args):
+            raise AssertionError("a quadrature rule was built")
+
+        monkeypatch.setattr(spc, "gauss_legendre", gauss_legendre)
+        code, out, _ = run(["correlation", *option,
+                            "--out", str(tmp_path / "c.csv")], capsys)
+        assert code == EXIT_CONFIG
+        assert out == ""
+
     @pytest.mark.parametrize("t_max", ["nan", "inf", "0", "-40"])
     def test_bad_t_max_names_t_max_au(self, t_max, tmp_path, capsys):
         out = tmp_path / "c.csv"
@@ -178,6 +192,10 @@ class TestRates:
         ("narrowband-4photon", "intensity_wcm2", math.inf),
         ("broadband-4photon", "bandwidth_hz", math.inf),
         ("scrap", "n_atoms", -1e13),
+        ("narrowband-4photon", "spot_diameter_um", -1),
+        ("narrowband-4photon", "path_length_mm", 0),
+        ("sequential", "tau_2p_ns", math.nan),
+        ("scrap", "pulse_duration_fs", -50),
     ])
     def test_bad_override_is_config_error(self, scheme, key, value, tmp_path,
                                           capsys):
@@ -186,6 +204,7 @@ class TestRates:
         code, out, err = run(["rates", scheme, "--config", str(scenario)], capsys)
         assert code == EXIT_CONFIG
         assert "configuration error" in err
+        assert key in err
         assert out == ""
 
     # finite overrides whose product overflows; json would print Infinity
@@ -206,7 +225,8 @@ class TestRates:
 
     @pytest.mark.parametrize(
         "scheme, key",
-        [(scheme, key) for scheme in sch.SCHEMES for key in sch.OVERRIDE_KEYS])
+        [(scheme, f.name) for scheme in sch.SCHEMES
+         for f in dataclasses.fields(sch.SchemeConfig)])
     def test_scheme_reads_exactly_its_keys(self, scheme, key, tmp_path, capsys):
         """A key in the scheme's entry changes its report; any other key is
         a configuration error naming the scheme and the keys it takes."""

@@ -92,7 +92,7 @@ class TestNarrowband:
 
 
 class TestBroadband:
-    CFG = SchemeConfig(bandwidth=Quantity(5e12, "Hz"))
+    CFG = SchemeConfig(bandwidth_hz=5e12)
 
     def test_budget(self):
         rep = four_photon_rate_broadband(self.CFG, HE)
@@ -127,7 +127,7 @@ class TestSequential:
 
 
 class TestScrap:
-    CFG = SchemeConfig(bandwidth=Quantity(8.8e12, "Hz"), n_atoms=1e13)
+    CFG = SchemeConfig(bandwidth_hz=8.8e12, n_atoms=1e13)
 
     def test_transfer_probability(self):
         res = scrap_transfer_probability(self.CFG, HE)
@@ -219,7 +219,7 @@ class TestReportSerialization:
         assert isinstance(info.value, ArithmeticError)
 
     def test_overflowing_runner_is_rejected(self):
-        config = SchemeConfig(bandwidth=Quantity(8.8e12, "Hz"),
+        config = SchemeConfig(bandwidth_hz=8.8e12,
                               n_atoms=1e300, repetition_rate_hz=1e300)
         with pytest.raises(NonFiniteRateError, match="scrap: step 'final_rate'"):
             scrap_biphoton_rate(config, HE)
