@@ -141,6 +141,13 @@ class TestScenarioSchema:
         # a SchemeConfig field no scheme reads is config nothing varies
         keys = [entry.keys for entry in sch.SCHEMES.values()]
         fields = {f.name for f in dataclasses.fields(sch.SchemeConfig)}
+        assert fields <= set().union(*keys)
+
+    def test_scheme_keys_cover_the_key_map(self):
+        # the SchemeConfig fields are the key map: a scheme key outside it
+        # sets nothing, so the keys of all schemes are exactly the fields
+        keys = [entry.keys for entry in sch.SCHEMES.values()]
+        fields = {f.name for f in dataclasses.fields(sch.SchemeConfig)}
         assert set().union(*keys) == fields
         for entry in sch.SCHEMES.values():
             assert len(set(entry.keys)) == len(entry.keys)
