@@ -13,7 +13,6 @@ from .cavity import (
 from .registry import Registry, SpeciesData, SpeciesNotFound, default_registry, species
 from .reporting import ReproRow, ReproTable, Scenario, SchemaError, repro_report, run_scenario
 from .schemes import (
-    AbsorberChain,
     NonFiniteRateError,
     RateReport,
     ReportEntry,
@@ -27,7 +26,6 @@ from .schemes import (
     four_photon_rabi,
     four_photon_rate,
     four_photon_rate_broadband,
-    he_absorber,
     lz_integral,
     lz_leakage_rate,
     one_photon_rate,

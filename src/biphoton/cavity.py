@@ -28,8 +28,8 @@ import math
 from contextvars import ContextVar
 from dataclasses import dataclass
 
+from . import quadrature
 from ._numpy import LazyNumpy
-from .quadrature import gauss_legendre
 
 np = LazyNumpy(globals())
 
@@ -165,7 +165,7 @@ _CURVE_RULES: ContextVar[dict] = ContextVar("_CURVE_RULES")
 def _grid(n_theta: int, n_phi: int):
     rules = _CURVE_RULES.get({})
     if n_theta not in rules:
-        rules[n_theta] = gauss_legendre(n_theta, math.pi)
+        rules[n_theta] = quadrature.gauss_legendre(n_theta, math.pi)
     th, wth = rules[n_theta]
     ph = 2.0 * math.pi * np.arange(n_phi) / n_phi
     wph = np.full(n_phi, 2.0 * math.pi / n_phi)

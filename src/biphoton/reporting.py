@@ -90,7 +90,6 @@ class Scenario:
     """Validated scenario file: species, geometry sweep, spectrum settings,
     and per-scheme overrides."""
 
-    name: str
     species: str
     ratios: list[float]
     geometry_rel_tol: float
@@ -157,7 +156,6 @@ class Scenario:
         except ValueError as exc:
             raise SchemaError(str(exc)) from None
         return cls(
-            name=raw.get("name", "scenario"),
             species=raw.get("species", "He"),
             ratios=ratios,
             geometry_rel_tol=float(geometry.get("rel_tol", 1e-7)),
@@ -396,8 +394,7 @@ def _repro_table(configs: dict[str, sch.SchemeConfig], he,
                      0.01, sch.collection_fraction(0.1), "exact-formula", 0.20,
                      note="exact pair-angle integral gives 1.259%; the "
                           "quoted 1% is outside the 20% band"))
-    coeff = sch.r_trans(th_sphere, Quantity(1.0, "au_field"), he, spec,
-                        sch.he_absorber(he)).au
+    coeff = sch.r_trans(th_sphere, Quantity(1.0, "au_field"), he, spec).au
     rows.append(_row("r_trans_coeff", "cavity transfer-rate coefficient (a.u.)",
                      1.91e-25, coeff, "order-of-magnitude", 10.0,
                      note="single-intermediate-state emitter and absorber"))

@@ -60,7 +60,6 @@ __all__ = [
     "ReportEntry",
     "RateReport",
     "NonFiniteRateError",
-    "AbsorberChain",
     "ScrapResult",
     "four_photon_rate",
     "four_photon_rabi",
@@ -77,7 +76,6 @@ __all__ = [
     "scrap_biphoton_rate",
     "etpa_ion_rate",
     "collection_fraction",
-    "he_absorber",
     "r_trans",
 ]
 
@@ -552,40 +550,21 @@ def collection_fraction(solid_angle_fraction: float) -> float:
     return 3.0 / (64.0 * math.pi**2) * (omega_c**2 + tr_m2)
 
 
-@dataclass(frozen=True)
-class AbsorberChain:
-    """Single-resonance absorption chain D/(w - D_mi) for the cavity transfer."""
-
-    strength_au: float
-    delta_mi_au: float
-
-    def chain(self, omega_au):
-        return self.strength_au / (np.asarray(omega_au, dtype=float) - self.delta_mi_au)
-
-
-def he_absorber(species: SpeciesData) -> AbsorberChain:
-    """Ground-state 1s^2 -> 1s2p absorption chain from the oscillator strength."""
-    djg = species.e_2p.au
-    return AbsorberChain(
-        strength_au=math.sqrt(3.0 * species.f_g2p / (2.0 * djg)),
-        delta_mi_au=djg,
-    )
-
-
 def r_trans(
     theta_factor: float,
     field: Quantity,
     species: SpeciesData,
     emitter: BiphotonSpectrum,
-    absorber: AbsorberChain,
 ) -> Quantity:
     """Coherent excitation-emission-absorption transfer rate in the cavity.
 
     R = 2*pi * | Theta * E0^4/(256 c^6) * D4 * K |^2 with
     K = integral_0^D [w(D-w)]^3 A(w) S(w) dw over the emission window, where
-    A is the absorber chain and S the emitter chain, integrated on the nodes
-    of the sampled ``emitter`` spectrum; the excitation and absorption
-    lineshapes are unit (1 a.u.).  ``field`` is the peak electric field.
+    S is the emitter chain and A(w) = sqrt(3 f_g2p/(2 D_jg))/(w - D_jg) the
+    species' 1s^2 -> 1s2p absorber pole (D_jg its 2p level), integrated on
+    the nodes of the sampled ``emitter`` spectrum; the excitation and
+    absorption lineshapes are unit (1 a.u.).  ``field`` is the peak electric
+    field.
     Scales as E0^8 and as Theta^2.
     """
     if species.d4_eg is None:
@@ -597,7 +576,8 @@ def r_trans(
             f"{species.name} ({species.delta_eg.au} a.u.)"
         )
     e0 = _field_au(field)
-    k = float(np.dot(emitter.weights_au,
-                     emitter.amplitude * absorber.chain(emitter.omega_au)))
+    djg = species.e_2p.au
+    absorber = math.sqrt(3.0 * species.f_g2p / (2.0 * djg)) / (emitter.omega_au - djg)
+    k = float(np.dot(emitter.weights_au, emitter.amplitude * absorber))
     amp = theta_factor * e0**4 / (256.0 * C_AU**6) * species.d4_eg * k
     return Quantity(2.0 * math.pi * amp**2, "au_rate")

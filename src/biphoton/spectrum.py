@@ -33,8 +33,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import quadrature
 from ._numpy import LazyNumpy
-from .quadrature import gauss_legendre
 from .registry import SpeciesData
 from .units import AU_TIME_S, C_AU, HARTREE_EV, Quantity
 
@@ -177,7 +177,7 @@ def spectral_amplitude(
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2, got {n_points}")
     delta = provider.delta_eg_au
-    omega, weights = gauss_legendre(n_points, delta)
+    omega, weights = quadrature.gauss_legendre(n_points, delta)
     for p in provider.poles():
         if 0.0 <= p <= delta:
             raise PoleInGridError(

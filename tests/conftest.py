@@ -1,23 +1,33 @@
 """Hypothesis draws the same examples on every run, so no verdict depends
 on a random draw or on examples replayed from a local database."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import settings
 
-from biphoton import cavity
+from biphoton import quadrature
 
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
 
 
-@pytest.fixture
-def rules_up_to_2048(monkeypatch):
-    """Fail any theta rule build above 2048 nodes.  An AssertionError is
+def count_rule_builds(mp) -> Counter:
+    """Count the Gauss-Legendre rules built, by (n, length), at
+    ``quadrature.gauss_legendre``, the one binding the package builds rules
+    through.  A rule above 2048 nodes fails with an AssertionError, which is
     neither a numerical nor a configuration error, so the CLI lets it out."""
-    build = cavity.gauss_legendre
+    builds, build = Counter(), quadrature.gauss_legendre
 
-    def capped(n, length):
-        assert n <= 2048, f"built a {n}-node theta rule"
+    def counting(n, length):
+        assert n <= 2048, f"built a {n}-node rule"
+        builds[n, length] += 1
         return build(n, length)
 
-    monkeypatch.setattr(cavity, "gauss_legendre", capped)
+    mp.setattr(quadrature, "gauss_legendre", counting)
+    return builds
+
+
+@pytest.fixture
+def rule_builds(monkeypatch):
+    return count_rule_builds(monkeypatch)

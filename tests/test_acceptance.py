@@ -17,7 +17,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from biphoton.cavity import (
     Spheroid,
@@ -35,13 +34,11 @@ from biphoton.schemes import (
     SchemeConfig,
     absorption_coefficient,
     attenuation_fraction,
-    biphoton_rate_narrowband,
     biphoton_rate_sequential,
     collection_fraction,
     etpa_ion_rate,
     four_photon_rabi,
     four_photon_rate,
-    four_photon_rate_broadband,
     scrap_biphoton_rate,
     scrap_transfer_probability,
 )

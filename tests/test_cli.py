@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -44,8 +45,8 @@ class TestTheta:
         assert code == EXIT_CONFIG
         assert "configuration error: need finite a >= b > 0, got a=inf" in err
 
-    def test_unreachable_tolerance_is_numerical_error(self, capsys, rules_up_to_2048):
-        code, out, err = run(["theta", "--ratio", "148", "--rel-tol", "1e-12"], capsys)
+    def test_unreachable_tolerance_is_numerical_error(self, capsys, rule_builds):
+        code, out, err = run(["theta", "--ratio", "148", "--rel-tol", "1e-15"], capsys)
         assert code == EXIT_NUMERICAL
         assert "numerical error (ThetaConvergenceError)" in err
         assert out == ""
@@ -130,15 +131,12 @@ class TestSpectrumAndCorrelation:
     @pytest.mark.parametrize("option", [["--n-t", "1"], ["--tmax-au", "nan"]],
                              ids=["n_t", "t_max_au"])
     def test_bad_time_grid_fails_before_any_rule(self, option, tmp_path, capsys,
-                                                 monkeypatch):
-        def gauss_legendre(*args):
-            raise AssertionError("a quadrature rule was built")
-
-        monkeypatch.setattr(spc, "gauss_legendre", gauss_legendre)
+                                                 rule_builds):
         code, out, _ = run(["correlation", *option,
                             "--out", str(tmp_path / "c.csv")], capsys)
         assert code == EXIT_CONFIG
         assert out == ""
+        assert rule_builds == Counter()
 
     @pytest.mark.parametrize("t_max", ["nan", "inf", "0", "-40"])
     def test_bad_t_max_names_t_max_au(self, t_max, tmp_path, capsys):
@@ -382,12 +380,7 @@ class TestRun:
     ({"t_max_au": math.inf}, "$.spectrum.t_max_au must be finite and > 0, got inf"),
 ], ids=["n_t", "n_omega", "negative-t_max", "infinite-t_max"])
 def test_bad_spectrum_setting_fails_before_any_rule(command, spectrum, message,
-                                                    tmp_path, capsys, monkeypatch):
-    def gauss_legendre(*args):
-        raise AssertionError("a quadrature rule was built")
-
-    monkeypatch.setattr(cavity, "gauss_legendre", gauss_legendre)
-    monkeypatch.setattr(spc, "gauss_legendre", gauss_legendre)
+                                                    tmp_path, capsys, rule_builds):
     scenario = tmp_path / "bad.json"
     scenario.write_text(json.dumps({"spectrum": spectrum}))
     argv = {"run": ["run", str(scenario), "--out-dir", str(tmp_path / "out")],
@@ -396,6 +389,7 @@ def test_bad_spectrum_setting_fails_before_any_rule(command, spectrum, message,
     assert code == EXIT_CONFIG
     assert out == ""
     assert message in err
+    assert rule_builds == Counter()
 
 
 def _fresh_python(script: str, cwd) -> str:
@@ -445,12 +439,16 @@ def test_first_numerical_call_rebinds_np_to_numpy(tmp_path):
     script = """
 import numpy
 from biphoton import cavity, cli, quadrature, schemes, spectrum
+from biphoton.registry import species
+from biphoton.units import Quantity
 modules = (quadrature, cavity, spectrum, schemes, cli)
 assert not any(m.np is numpy for m in modules)
 quadrature.gauss_legendre(4, 1.0)
 cavity.angular_jacobian(cavity.Spheroid(2.0, 1.0), [0.5])
 spectrum.FlatChain(1.0).chain_sum([0.5])
-schemes.AbsorberChain(1.0, 2.0).chain([0.5])
+he = species("He")
+emitter = spectrum.spectral_amplitude(spectrum.provider_pole(he), 4)
+schemes.r_trans(1.0, Quantity(1.0, "au_field"), he, emitter)
 assert cli.main(["theta-curve", "--points", "2", "--out", "curve.csv"]) == 0
 print([m.__name__ for m in modules if m.np is not numpy])
 """

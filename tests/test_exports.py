@@ -26,14 +26,15 @@ def test_all_names_exist(name):
     assert missing == []
 
 
-SOURCES = sorted(p for p in Path(biphoton.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
 REPO_ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted(p for p in Path(biphoton.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py") + sorted(REPO_ROOT.glob("tests/*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_module_imports_are_read(path):
-    """Every module-level import is read in its module or named in ``__all__``.
+    """Every module-level import of a package module or a test file is read
+    in its file or named in ``__all__``.
 
     The one exemption is a binding a perfbench test traces calls through: its
     line carries ``# noqa: F401`` under a comment naming that test file, and

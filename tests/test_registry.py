@@ -1,7 +1,6 @@
 import pytest
 
 from biphoton.registry import (
-    Registry,
     SpeciesNotFound,
     _entry_to_species,
     default_registry,

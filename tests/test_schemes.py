@@ -18,7 +18,6 @@ from biphoton.schemes import (
     four_photon_rabi,
     four_photon_rate,
     four_photon_rate_broadband,
-    he_absorber,
     lz_integral,
     lz_leakage_rate,
     one_photon_rate,
@@ -185,28 +184,26 @@ class TestCollection:
 
 class TestCavityTransfer:
     def test_field_scaling_e0_eight(self):
-        ab = he_absorber(HE)
         prov = spectral_amplitude(provider_pole(HE))
-        r1 = r_trans(1.0, Quantity(0.05, "au_field"), HE, prov, ab).value
-        r2 = r_trans(1.0, Quantity(0.10, "au_field"), HE, prov, ab).value
+        r1 = r_trans(1.0, Quantity(0.05, "au_field"), HE, prov).value
+        r2 = r_trans(1.0, Quantity(0.10, "au_field"), HE, prov).value
         assert r2 / r1 == pytest.approx(256.0, rel=1e-10)
 
     def test_theta_squared_scaling(self):
-        ab = he_absorber(HE)
         prov = spectral_amplitude(provider_pole(HE))
-        r1 = r_trans(1.0, Quantity(0.05, "au_field"), HE, prov, ab).value
-        r2 = r_trans(3.0, Quantity(0.05, "au_field"), HE, prov, ab).value
+        r1 = r_trans(1.0, Quantity(0.05, "au_field"), HE, prov).value
+        r2 = r_trans(3.0, Quantity(0.05, "au_field"), HE, prov).value
         assert r2 / r1 == pytest.approx(9.0, rel=1e-10)
 
     def test_reference_magnitude(self):
         rt = r_trans(1.0, Quantity(0.053, "au_field"), HE,
-                     spectral_amplitude(provider_pole(HE)), he_absorber(HE))
+                     spectral_amplitude(provider_pole(HE)))
         assert rt.to("1/s").value == pytest.approx(2.63e-22, rel=0.01)
 
     def test_gap_mismatch_rejected(self):
         scaled = spectral_amplitude(hydrogenic_scaled(provider_pole(HE), 2.0))
         with pytest.raises(ValueError, match="level gap"):
-            r_trans(1.0, Quantity(0.05, "au_field"), HE, scaled, he_absorber(HE))
+            r_trans(1.0, Quantity(0.05, "au_field"), HE, scaled)
 
 
 class TestReportSerialization:

@@ -1,9 +1,6 @@
-import math
-
 import pytest
 
 from biphoton.units import (
-    AU_TIME_S,
     DimensionError,
     Quantity,
     UnknownUnitError,
