@@ -27,7 +27,6 @@ from .schemes import (
     four_photon_rate,
     four_photon_rate_broadband,
     lz_integral,
-    lz_leakage_rate,
     one_photon_rate,
     r_trans,
     scrap_biphoton_rate,
@@ -50,7 +49,6 @@ from .spectrum import (
     two_photon_decay_rate,
 )
 from .units import (
-    DimensionError,
     Quantity,
     UnknownUnitError,
     atoms_in_focal_volume,

@@ -34,12 +34,12 @@ class SpeciesData:
     """Atomic inputs for one emitter species.  All optional fields may be None."""
 
     name: str
-    delta_eg: Quantity          # E(1s2s) - E(1s^2)
-    e_2p: Quantity              # E(1s2p) - E(1s^2)
+    delta_eg: Quantity          # E(1s2s) - E(1s^2), in eV
+    e_2p: Quantity              # E(1s2p) - E(1s^2), in eV
     f_g2p: float                # oscillator strength 1s^2 -> 1s2p
     f_2p2s: float               # oscillator strength 1s2p -> 1s2s (negative: downward)
     d4_eg: float | None         # four-photon matrix element, a.u.
-    lifetime_2s: Quantity | None
+    lifetime_2s: Quantity | None   # in s
     z: int
 
     def __post_init__(self):
@@ -55,7 +55,7 @@ class SpeciesData:
     @property
     def delta_ej(self) -> Quantity:
         """E(1s2s) - E(1s2p); negative for helium."""
-        return Quantity(self.delta_eg.to("eV").value - self.e_2p.to("eV").value, "eV")
+        return Quantity(self.delta_eg.value - self.e_2p.value, "eV")
 
 
 def _entry_to_species(name: str, raw: dict) -> SpeciesData:
@@ -101,9 +101,7 @@ class Registry:
         scale = (zeff / zeff_he) ** 2
         lifetime = None
         if he.lifetime_2s is not None:
-            lifetime = Quantity(
-                he.lifetime_2s.to("s").value * (zeff_he / zeff) ** 6, "s"
-            )
+            lifetime = Quantity(he.lifetime_2s.value * (zeff_he / zeff) ** 6, "s")
         return SpeciesData(
             name=f"He-like(Z={z})",
             delta_eg=Quantity(0.375 * zeff**2 * HARTREE_EV, "eV"),

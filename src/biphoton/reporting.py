@@ -33,7 +33,11 @@ from .cavity import theta_factor_quadrature  # noqa: F401
 from .registry import default_registry
 from .units import (
     AU_TIME_S,
-    Quantity,
+    EV,
+    MM,
+    PER_S,
+    UM,
+    W_CM2,
     atoms_in_focal_volume,
     intensity_to_field,
     photon_flux,
@@ -291,45 +295,39 @@ def _repro_table(configs: dict[str, sch.SchemeConfig], he,
                      8.0 / 3.0, th_sphere / th_148, "shape-only", 0.05))
 
     # --- field / four-photon chain (chained from the printed E0 = 0.053)
-    e0 = intensity_to_field(Quantity(1e14, "W/cm^2"))
+    i14 = 1e14 * W_CM2
     rows.append(_row("e0_field", "peak field at 1e14 W/cm^2 (a.u.)",
-                     0.053, e0.au, "exact-formula", 0.05))
-    f053 = Quantity(0.053, "au_field")
-    omega4 = sch.four_photon_rabi(he, field=f053)
+                     0.053, intensity_to_field(i14), "exact-formula", 0.05))
+    omega4 = sch.four_photon_rabi(he, field_au=0.053)
     rows.append(_row("omega4_au", "four-photon Rabi frequency (a.u.)",
-                     7.35e-5, omega4.au, "exact-formula", 0.05,
+                     7.35e-5, omega4, "exact-formula", 0.05,
                      note="chained from printed E0=0.053"))
     rows.append(_row("omega4_s", "four-photon Rabi frequency (s^-1)",
-                     1.9e13, 2.0 * math.pi * omega4.au / AU_TIME_S,
+                     1.9e13, 2.0 * math.pi * omega4 / AU_TIME_S,
                      "exact-formula", 0.05,
                      note="2*pi per a.u. time conversion, as quoted"))
-    r4 = sch.four_photon_rate(he, field=f053)
+    r4 = sch.four_photon_rate(he, field_au=0.053)
     rows.append(_row("r4_rate_au", "per-atom four-photon rate (a.u.)",
-                     3.4e-8, r4.au, "exact-formula", 0.05,
+                     3.4e-8, r4, "exact-formula", 0.05,
                      note="chained from printed E0=0.053"))
     rows.append(_row("r4_rate_s", "per-atom four-photon rate (s^-1)",
-                     1e9, r4.to("1/s").value, "order-of-magnitude", 3.0))
-    alpha4 = sch.absorption_coefficient(
-        4, Quantity(1e9, "1/s"), 1e19, Quantity(1e14, "W/cm^2"),
-        Quantity(5.155, "eV"))
+                     1e9, r4 / PER_S, "order-of-magnitude", 3.0))
+    alpha4 = sch.absorption_coefficient(4, 1e9 * PER_S, 1e19, i14, 5.155 * EV)
     rows.append(_row("alpha4", "four-photon absorption coefficient (W^-3 cm^5)",
                      3.4e-46, alpha4, "exact-formula", 0.05,
                      note="chained from printed R=1e9, N=1e19"))
-    frac4 = sch.attenuation_fraction(
-        Quantity(1e14, "W/cm^2"), alpha4, Quantity(1.0, "mm"), 4)
+    frac4 = sch.attenuation_fraction(i14, alpha4, 1.0 * MM, 4)
     rows.append(_row("absorption_fraction", "four-photon absorbed fraction",
                      3.4e-5, frac4, "exact-formula", 0.05,
                      note="chained from the alpha4 row"))
 
     # --- particle and photon budgets
-    atoms = atoms_in_focal_volume(1.0, 293.0, Quantity(100.0, "um"),
-                                  Quantity(1.0, "mm"))
+    atoms = atoms_in_focal_volume(1.0, 293.0, 100.0 * UM, 1.0 * MM)
     rows.append(_row("atoms_focal", "atoms in the focal volume at 1 bar",
                      7.8e13, atoms, "exact-formula", 0.10))
-    flux240 = photon_flux(Quantity(1e14, "W/cm^2"), Quantity(5.155, "eV"),
-                          Quantity(100.0, "um"))
+    flux240 = photon_flux(i14, 5.155 * EV, 100.0 * UM)
     rows.append(_row("photons_240nm", "240 nm photons/s through the focal spot",
-                     1e28, flux240.value, "order-of-magnitude", 3.0))
+                     1e28, flux240, "order-of-magnitude", 3.0))
 
     # --- spectrum / lifetime
     rate_he, _life = spc._decay_rate(spec)
@@ -338,7 +336,7 @@ def _repro_table(configs: dict[str, sch.SchemeConfig], he,
                      note="single-intermediate-state truncation"))
     ne = default_registry().species("He-like(Z=10)")
     rows.append(_row("ne_rate", "Z-scaled two-photon rate at Z=10",
-                     1e7, 1.0 / ne.lifetime_2s.to("s").value,
+                     1e7, 1.0 / ne.lifetime_2s.value,
                      "order-of-magnitude", 10.0))
     ct = spc.correlation_time(corr)
     rows.append(_row("correlation_time", "pair correlation time (s)",
@@ -350,7 +348,7 @@ def _repro_table(configs: dict[str, sch.SchemeConfig], he,
     rows.append(_row("narrowband_rate", "narrowband pair generation rate (1/s)",
                      1e22, chained_rate, "order-of-magnitude", 10.0,
                      note="chained from the absorption_fraction row"))
-    width_hz = 1.0 / he.lifetime_2s.to("s").value
+    width_hz = 1.0 / he.lifetime_2s.value
     overlap = width_hz / configs["broadband-4photon"].bandwidth_hz
     rows.append(_row("broadband_rate", "broadband pair generation rate (1/s)",
                      1e11, chained_rate * overlap, "order-of-magnitude", 10.0,
@@ -394,7 +392,7 @@ def _repro_table(configs: dict[str, sch.SchemeConfig], he,
                      0.01, sch.collection_fraction(0.1), "exact-formula", 0.20,
                      note="exact pair-angle integral gives 1.259%; the "
                           "quoted 1% is outside the 20% band"))
-    coeff = sch.r_trans(th_sphere, Quantity(1.0, "au_field"), he, spec).au
+    coeff = sch.r_trans(th_sphere, 1.0, he, spec)
     rows.append(_row("r_trans_coeff", "cavity transfer-rate coefficient (a.u.)",
                      1.91e-25, coeff, "order-of-magnitude", 10.0,
                      note="single-intermediate-state emitter and absorber"))

@@ -36,7 +36,16 @@ from .spectrum import spectral_amplitude  # noqa: F401
 from .units import (
     AU_TIME_S,
     C_AU,
-    Quantity,
+    CM,
+    EV,
+    FS,
+    J,
+    MM,
+    NS,
+    PER_S,
+    S,
+    UM,
+    W_CM2,
     atoms_in_focal_volume,
     intensity_to_field,
     number_density,
@@ -49,13 +58,13 @@ __all__ = [
     "SCHEMES",
     "Scheme",
     "SchemeConfig",
-    "PUMP_PHOTON_ENERGY",
-    "LAMP_INTENSITY",
-    "LAMP_PHOTON_ENERGY",
-    "LASER_INTENSITY",
-    "LASER_PHOTON_ENERGY",
+    "PUMP_PHOTON_ENERGY_EV",
+    "LAMP_INTENSITY_WCM2",
+    "LAMP_PHOTON_ENERGY_EV",
+    "LASER_INTENSITY_WCM2",
+    "LASER_PHOTON_ENERGY_EV",
     "SIGMA2_CM4S",
-    "ENTANGLEMENT_TIME",
+    "ENTANGLEMENT_TIME_S",
     "ENTANGLEMENT_AREA_CM2",
     "ReportEntry",
     "RateReport",
@@ -70,7 +79,6 @@ __all__ = [
     "one_photon_rate",
     "steady_state_fraction",
     "biphoton_rate_sequential",
-    "lz_leakage_rate",
     "lz_integral",
     "scrap_transfer_probability",
     "scrap_biphoton_rate",
@@ -80,13 +88,13 @@ __all__ = [
 ]
 
 # Printed inputs of the reference budgets; no scenario varies them.
-PUMP_PHOTON_ENERGY = Quantity(5.155, "eV")          # 240 nm pump
-LAMP_INTENSITY = Quantity(34.0, "W/cm^2")           # sequential: He I lamp
-LAMP_PHOTON_ENERGY = Quantity(21.22, "eV")
-LASER_INTENSITY = Quantity(1e12, "W/cm^2")          # sequential: 2059 nm laser
-LASER_PHOTON_ENERGY = Quantity(0.602, "eV")
+PUMP_PHOTON_ENERGY_EV = 5.155                       # 240 nm pump
+LAMP_INTENSITY_WCM2 = 34.0                          # sequential: He I lamp
+LAMP_PHOTON_ENERGY_EV = 21.22
+LASER_INTENSITY_WCM2 = 1e12                         # sequential: 2059 nm laser
+LASER_PHOTON_ENERGY_EV = 0.602
 SIGMA2_CM4S = 1e-50                                 # etpa: sigma_2
-ENTANGLEMENT_TIME = Quantity(1e-15, "s")            # etpa: T_e
+ENTANGLEMENT_TIME_S = 1e-15                         # etpa: T_e
 ENTANGLEMENT_AREA_CM2 = 1e-8                        # etpa: A_e
 
 
@@ -137,7 +145,7 @@ class SchemeConfig:
             return self.n_atoms
         return atoms_in_focal_volume(
             self.pressure_bar, self.temperature_k,
-            Quantity(self.spot_diameter_um, "um"), Quantity(self.path_length_mm, "mm"),
+            self.spot_diameter_um * UM, self.path_length_mm * MM,
         )
 
 
@@ -181,34 +189,27 @@ class RateReport:
         return json.dumps(asdict(self), indent=2)
 
 
-def _field_au(field_q: Quantity) -> float:
-    if field_q.dimension != "electric-field":
-        raise ValueError(f"field must be an electric field, got {field_q.dimension}")
-    return field_q.au
-
-
-def four_photon_rabi(species: SpeciesData, field: Quantity) -> Quantity:
+def four_photon_rabi(species: SpeciesData, field_au: float) -> float:
     """Four-photon Rabi frequency (E0/2)^4 * D4 at peak field E0, atomic units."""
     if species.d4_eg is None:
         raise ValueError(f"{species.name}: four-photon matrix element not available")
-    e0 = _field_au(field)
-    return Quantity((e0 / 2.0) ** 4 * species.d4_eg, "au_angular_frequency")
+    return (field_au / 2.0) ** 4 * species.d4_eg
 
 
 def four_photon_rate(
-    species: SpeciesData, field: Quantity, lineshape_factor_au: float = 1.0
-) -> Quantity:
+    species: SpeciesData, field_au: float, lineshape_factor_au: float = 1.0
+) -> float:
     """Resonant per-atom four-photon transition rate 2*pi*L*[(E0/2)^4 D4]^2 (a.u.)."""
-    omega4 = four_photon_rabi(species, field).au
-    return Quantity(2.0 * math.pi * lineshape_factor_au * omega4**2, "au_rate")
+    omega4 = four_photon_rabi(species, field_au)
+    return 2.0 * math.pi * lineshape_factor_au * omega4**2
 
 
 def absorption_coefficient(
     n: int,
-    rate_per_atom: Quantity,
+    rate_per_atom_au: float,
     density_cm3: float,
-    intensity: Quantity,
-    photon_energy: Quantity,
+    intensity_au: float,
+    photon_energy_au: float,
 ) -> float:
     """n-photon absorption coefficient alpha = n*hbar*w*R*N/I^n.
 
@@ -216,14 +217,14 @@ def absorption_coefficient(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    r = rate_per_atom.to("1/s").value
-    e_j = photon_energy.to("J").value
-    i = intensity.to("W/cm^2").value
+    r = rate_per_atom_au / PER_S
+    e_j = photon_energy_au / J
+    i = intensity_au / W_CM2
     return n * e_j * r * density_cm3 / i**n
 
 
 def attenuation_fraction(
-    intensity: Quantity, alpha: float, path_length: Quantity, n: int
+    intensity_au: float, alpha: float, path_length_au: float, n: int
 ) -> float:
     """Absorbed fraction after propagation: 1 - exp(-aL) for n = 1, else
     1 - (1 + (n-1) a L I0^(n-1))^(-1/(n-1))."""
@@ -231,32 +232,31 @@ def attenuation_fraction(
         raise ValueError("n must be >= 1")
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    l_cm = path_length.to("cm").value
+    l_cm = path_length_au / CM
     if n == 1:
         return 1.0 - math.exp(-alpha * l_cm)
-    i0 = intensity.to("W/cm^2").value
+    i0 = intensity_au / W_CM2
     x = (n - 1) * alpha * l_cm * i0 ** (n - 1)
     return 1.0 - (1.0 + x) ** (-1.0 / (n - 1))
 
 
 def _narrowband_steps(config: SchemeConfig, species: SpeciesData):
     density = number_density(config.pressure_bar, config.temperature_k)
-    intensity = Quantity(config.intensity_wcm2, "W/cm^2")
-    flux = photon_flux(intensity, PUMP_PHOTON_ENERGY,
-                       Quantity(config.spot_diameter_um, "um"))
+    intensity = config.intensity_wcm2 * W_CM2
+    photon_energy = PUMP_PHOTON_ENERGY_EV * EV
+    flux = photon_flux(intensity, photon_energy, config.spot_diameter_um * UM)
     r4 = four_photon_rate(
         species, intensity_to_field(intensity),
         lineshape_factor_au=config.lineshape_factor_au,
     )
-    alpha = absorption_coefficient(4, r4, density, intensity, PUMP_PHOTON_ENERGY)
-    frac = attenuation_fraction(intensity, alpha,
-                                Quantity(config.path_length_mm, "mm"), 4)
-    pair_rate = flux.value * frac / 4.0
+    alpha = absorption_coefficient(4, r4, density, intensity, photon_energy)
+    frac = attenuation_fraction(intensity, alpha, config.path_length_mm * MM, 4)
+    pair_rate = flux * frac / 4.0
     steps = {
-        "pump_photon_flux": ReportEntry(flux.value, "1/s",
+        "pump_photon_flux": ReportEntry(flux, "1/s",
                                         "I*(pi d^2/4)/(hbar w)"),
         "four_photon_rate_per_atom": ReportEntry(
-            r4.value, "au_rate",
+            r4, "au_rate",
             f"2*pi*L*[(E0/2)^4 D4]^2, L={config.lineshape_factor_au} a.u."),
         "absorption_coefficient": ReportEntry(alpha, "W^-3 cm^5",
                                               "4*hbar*w*R*N/I^4"),
@@ -289,7 +289,7 @@ def four_photon_rate_broadband(config: SchemeConfig, species: SpeciesData) -> Ra
     pair_rate, steps = _narrowband_steps(config, species)
     if species.lifetime_2s is None:
         raise ValueError(f"{species.name}: no lifetime to derive a linewidth from")
-    width_hz = 1.0 / species.lifetime_2s.to("s").value
+    width_hz = 1.0 / species.lifetime_2s.value
     peak_density = 1.0 / delta_hz
     overlap = width_hz * peak_density
     rate = pair_rate * overlap
@@ -310,23 +310,21 @@ def four_photon_rate_broadband(config: SchemeConfig, species: SpeciesData) -> Ra
 
 def one_photon_rate(
     f: float,
-    intensity: Quantity,
-    photon_energy: Quantity,
+    intensity_au: float,
+    photon_energy_au: float,
     lineshape_factor_au: float,
-) -> Quantity:
-    """One-photon excitation rate pi*|f|*E0^2*L/w (a.u. -> s^-1)."""
-    if intensity.value < 0:
+) -> float:
+    """One-photon excitation rate pi*|f|*E0^2*L/w, atomic units."""
+    if intensity_au < 0:
         raise ValueError("intensity must be >= 0")
     _positive("lineshape_factor_au", lineshape_factor_au)
-    e0 = intensity_to_field(intensity).au
-    w = photon_energy.au
-    rate_au = math.pi * abs(f) * e0**2 * lineshape_factor_au / w
-    return Quantity(rate_au, "au_rate").to("1/s")
+    e0 = intensity_to_field(intensity_au)
+    return math.pi * abs(f) * e0**2 * lineshape_factor_au / photon_energy_au
 
 
-def steady_state_fraction(r1: Quantity, tau_2p: Quantity) -> float:
+def steady_state_fraction(r1_au: float, tau_2p_au: float) -> float:
     """Steady-state excited fraction (1 - 1/(1 + 2 R1 tau))/2; saturates at 1/2."""
-    x = r1.to("1/s").value * tau_2p.to("s").value
+    x = r1_au * tau_2p_au
     if x < 0:
         raise ValueError("R1*tau must be >= 0")
     return 0.5 * (1.0 - 1.0 / (1.0 + 2.0 * x))
@@ -339,23 +337,24 @@ def biphoton_rate_sequential(config: SchemeConfig, species: SpeciesData) -> Rate
     turnover (steady-state fraction x focal-volume atoms per second) and the
     lamp photon supply; the binding constraint is named in the report.
     """
-    tau_2p = Quantity(config.tau_2p_ns, "ns")
-    tau_au = tau_2p.au
-    r1 = one_photon_rate(species.f_g2p, LAMP_INTENSITY, LAMP_PHOTON_ENERGY, tau_au)
-    r2 = one_photon_rate(species.f_2p2s, LASER_INTENSITY, LASER_PHOTON_ENERGY, tau_au)
-    frac = steady_state_fraction(r1, tau_2p)
+    tau_au = config.tau_2p_ns * NS
+    lamp_intensity = LAMP_INTENSITY_WCM2 * W_CM2
+    lamp_energy = LAMP_PHOTON_ENERGY_EV * EV
+    r1 = one_photon_rate(species.f_g2p, lamp_intensity, lamp_energy, tau_au)
+    r2 = one_photon_rate(species.f_2p2s, LASER_INTENSITY_WCM2 * W_CM2,
+                         LASER_PHOTON_ENERGY_EV * EV, tau_au)
+    frac = steady_state_fraction(r1, tau_au)
     atoms = config.atoms()
     inventory = frac * atoms
-    lamp_supply = photon_flux(
-        LAMP_INTENSITY, LAMP_PHOTON_ENERGY, Quantity(config.spot_diameter_um, "um")
-    ).value
+    lamp_supply = photon_flux(lamp_intensity, lamp_energy,
+                              config.spot_diameter_um * UM)
     rate = min(inventory, lamp_supply)
     binding = "excited-inventory" if inventory <= lamp_supply else "lamp-photon-supply"
-    saturated = r2.value * tau_2p.to("s").value > 1.0
+    saturated = r2 * tau_au > 1.0
     steps = {
-        "lamp_rate_r1": ReportEntry(r1.value, "1/s",
+        "lamp_rate_r1": ReportEntry(r1 / PER_S, "1/s",
                                     "pi*f*E0^2*tau_2p/w, f=1s^2->1s2p"),
-        "laser_rate_r2": ReportEntry(r2.value, "1/s",
+        "laser_rate_r2": ReportEntry(r2 / PER_S, "1/s",
                                      "pi*|f|*E0^2*tau_2p/w, f=1s2p->1s2s"),
         "laser_step_saturated": ReportEntry(float(saturated), "",
                                             "R2*tau_2p > 1"),
@@ -377,30 +376,18 @@ def biphoton_rate_sequential(config: SchemeConfig, species: SpeciesData) -> Rate
     )
 
 
-def lz_leakage_rate(t: Quantity, omega_hz: float, bandwidth_hz: float,
-                    pulse_duration: Quantity) -> float:
-    """Landau-Zener leakage rate during a Stark sweep, ordinary-frequency units.
-
-    Gamma(t) = W^2 g / (D(t)^2 + g^2/4) with g = sqrt(delta/(4 pi tau)),
-    D(t) = t*delta/tau; W is the effective Rabi frequency in Hz.
-    """
-    _positive("bandwidth_hz", bandwidth_hz)
-    tau = pulse_duration.to("s").value
-    _positive("pulse_duration", tau)
-    g = math.sqrt(bandwidth_hz / (4.0 * math.pi * tau))
-    d = t.to("s").value * bandwidth_hz / tau
-    return omega_hz**2 * g / (d * d + g * g / 4.0)
-
-
-def lz_integral(omega_hz: float, bandwidth_hz: float, pulse_duration: Quantity,
+def lz_integral(omega_hz: float, bandwidth_hz: float, pulse_duration_s: float,
                 window: str = "ramp") -> float:
-    """Closed-form integral of the leakage rate over the sweep.
+    """Closed-form integral over the sweep of the Landau-Zener leakage rate
+    Gamma(t) = W^2 g / (D(t)^2 + g^2/4), g = sqrt(delta/(4 pi tau)),
+    D(t) = t*delta/tau, in ordinary frequencies: W is the effective Rabi
+    frequency and delta the bandwidth, both in Hz, and tau is in seconds.
 
     window="ramp": [0, tau] as the rate formula is written ->
     (2 W^2 tau/delta) * arctan(2 delta/g); window="centered": [-tau/2, tau/2]
     -> (4 W^2 tau/delta) * arctan(delta/g).
     """
-    tau = pulse_duration.to("s").value
+    tau = pulse_duration_s
     g = math.sqrt(bandwidth_hz / (4.0 * math.pi * tau))
     pref = 2.0 * omega_hz**2 * tau / bandwidth_hz
     if window == "ramp":
@@ -429,14 +416,10 @@ def scrap_transfer_probability(config: SchemeConfig, species: SpeciesData) -> Sc
     2*pi-per-a.u.-time convention.  Both integration windows are reported.
     """
     delta_hz = _bandwidth_hz(config, "scrap")
-    omega_eg_hz = (
-        2.0 * math.pi
-        * four_photon_rabi(
-            species, intensity_to_field(Quantity(config.intensity_wcm2, "W/cm^2"))).au
-        / AU_TIME_S
-    )
+    field_au = intensity_to_field(config.intensity_wcm2 * W_CM2)
+    omega_eg_hz = 2.0 * math.pi * four_photon_rabi(species, field_au) / AU_TIME_S
     omega_hz = math.sqrt(omega_eg_hz**2 + (delta_hz / 2.0) ** 2)
-    tau = Quantity(config.pulse_duration_fs, "fs")
+    tau = config.pulse_duration_fs * FS / S
     exponent = lz_integral(omega_hz, delta_hz, tau, window="ramp")
     exponent_other = lz_integral(omega_hz, delta_hz, tau, window="centered")
     return ScrapResult(
@@ -478,8 +461,7 @@ def scrap_biphoton_rate(config: SchemeConfig, species: SpeciesData) -> RateRepor
 def etpa_ion_rate(config: SchemeConfig) -> RateReport:
     """ETPA detection budget: sigma_e = sigma2/(A_e T_e), rate per molecule
     sigma_e x (photon rate / A_e), ions/s = per-molecule rate x molecules."""
-    t_e = ENTANGLEMENT_TIME.to("s").value
-    sigma_e = SIGMA2_CM4S / (ENTANGLEMENT_AREA_CM2 * t_e)
+    sigma_e = SIGMA2_CM4S / (ENTANGLEMENT_AREA_CM2 * ENTANGLEMENT_TIME_S)
     flux_density = config.photon_rate_hz / ENTANGLEMENT_AREA_CM2
     per_molecule = sigma_e * flux_density
     ions = per_molecule * config.molecules
@@ -552,10 +534,10 @@ def collection_fraction(solid_angle_fraction: float) -> float:
 
 def r_trans(
     theta_factor: float,
-    field: Quantity,
+    field_au: float,
     species: SpeciesData,
     emitter: BiphotonSpectrum,
-) -> Quantity:
+) -> float:
     """Coherent excitation-emission-absorption transfer rate in the cavity.
 
     R = 2*pi * | Theta * E0^4/(256 c^6) * D4 * K |^2 with
@@ -563,8 +545,8 @@ def r_trans(
     S is the emitter chain and A(w) = sqrt(3 f_g2p/(2 D_jg))/(w - D_jg) the
     species' 1s^2 -> 1s2p absorber pole (D_jg its 2p level), integrated on
     the nodes of the sampled ``emitter`` spectrum; the excitation and
-    absorption lineshapes are unit (1 a.u.).  ``field`` is the peak electric
-    field.
+    absorption lineshapes are unit (1 a.u.).  ``field_au`` is the peak
+    electric field; the rate is in atomic units.
     Scales as E0^8 and as Theta^2.
     """
     if species.d4_eg is None:
@@ -575,9 +557,8 @@ def r_trans(
             f"({emitter.delta_eg_au} a.u.) does not match species "
             f"{species.name} ({species.delta_eg.au} a.u.)"
         )
-    e0 = _field_au(field)
     djg = species.e_2p.au
     absorber = math.sqrt(3.0 * species.f_g2p / (2.0 * djg)) / (emitter.omega_au - djg)
     k = float(np.dot(emitter.weights_au, emitter.amplitude * absorber))
-    amp = theta_factor * e0**4 / (256.0 * C_AU**6) * species.d4_eg * k
-    return Quantity(2.0 * math.pi * amp**2, "au_rate")
+    amp = theta_factor * field_au**4 / (256.0 * C_AU**6) * species.d4_eg * k
+    return 2.0 * math.pi * amp**2

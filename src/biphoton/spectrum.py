@@ -295,20 +295,24 @@ def flat_correlation_closed_form(t_au, delta_au: float):
         = e^{iDt/2} (D/2)^7 * 6*sqrt(pi) * (2/z)^{7/2} J_{7/2}(z),  z = tD/2,
 
     whose t=0 value is D^7/140.  The returned value is normalized by that, so
-    the envelope is Gamma(9/2)*(2/z)^{7/2}*J_{7/2}(z) with limit 1 at z -> 0.
-    Used as the analytic oracle for the flat provider's correlation; scipy is
-    imported here, on the first call, so that no other path of the package
-    loads it.
+    the envelope is Gamma(9/2)*(2/z)^{7/2}*J_{7/2}(z) = 105*j_3(z)/z^3 with
+    limit 1 at z -> 0.  The spherical Bessel function j_3 is elementary
+    (DLMF 10.49.3), but that form cancels at small z, so below z = 2 the
+    envelope is its power series sum_k (-z^2/2)^k 105/(k! (7+2k)!!)
+    (DLMF 10.53.1), 12 terms.  Used as the analytic oracle for the flat
+    provider's correlation.
     """
-    from scipy.special import jv
-
     t = np.asarray(t_au, dtype=float)
     z = np.abs(t) * delta_au / 2.0
-    small = z < 1e-8
-    gamma_92 = 105.0 * math.sqrt(math.pi) / 16.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        env = gamma_92 * (2.0 / z) ** 3.5 * jv(3.5, z)
-    env = np.where(small, 1.0, env)
+    zb = np.maximum(z, 2.0)
+    closed = 105.0 * ((15.0 / zb**3 - 6.0 / zb) * np.sin(zb)
+                      - (15.0 / zb**2 - 1.0) * np.cos(zb)) / zb**4
+    x = -0.5 * np.minimum(z, 2.0) ** 2
+    term = series = np.ones_like(z)
+    for k in range(1, 12):
+        term = term * x / (k * (7 + 2 * k))
+        series = series + term
+    env = np.where(z < 2.0, series, closed)
     return np.exp(1j * delta_au * t / 2.0) * env
 
 

@@ -1,6 +1,8 @@
 """Hypothesis draws the same examples on every run, so no verdict depends
-on a random draw or on examples replayed from a local database."""
+on a random draw or on examples replayed from a local database.  Also holds
+the helpers more than one test file reads."""
 
+import math
 from collections import Counter
 
 import pytest
@@ -31,3 +33,11 @@ def count_rule_builds(mp) -> Counter:
 @pytest.fixture
 def rule_builds(monkeypatch):
     return count_rule_builds(monkeypatch)
+
+
+def lz_leakage_rate(t_s, omega_hz, bandwidth_hz, pulse_duration_s):
+    """The Landau-Zener leakage rate that ``schemes.lz_integral`` integrates
+    in closed form, in Hz and seconds."""
+    g = math.sqrt(bandwidth_hz / (4.0 * math.pi * pulse_duration_s))
+    d = t_s * bandwidth_hz / pulse_duration_s
+    return omega_hz**2 * g / (d * d + g * g / 4.0)

@@ -52,7 +52,8 @@ from biphoton.spectrum import (
     spectral_amplitude,
     two_photon_decay_rate,
 )
-from biphoton.units import AU_TIME_S, Quantity, atoms_in_focal_volume, intensity_to_field
+from biphoton.units import AU_TIME_S, EV, MM, PER_S, UM, W_CM2
+from biphoton.units import atoms_in_focal_volume, intensity_to_field, photon_flux
 
 HE = species("He")
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -144,7 +145,7 @@ def test_criterion_3_correlation_time():
     t0 = time.perf_counter()
     gate = _Gate(3)
     spec = spectral_amplitude(provider_pole(HE))
-    tau = correlation_time(correlation_function(spec)).width.to("s").value
+    tau = correlation_time(correlation_function(spec)).width.value
     gate.check(abs(tau - 1.93e-16) <= 0.25 * 1.93e-16,
                f"correlation time {tau:.4g} s not within 25% of 1.93e-16 s")
     flat = spectral_amplitude(provider_flat(HE), n_points=4096)
@@ -166,7 +167,7 @@ def test_criterion_4_lifetime_and_z_scaling():
         gate.check(abs(scaled.value / rate.value - lam**6) <= 1e-10 * lam**6,
                    f"Z-scaling not exact at lambda={lam}")
     ne = default_registry().species("He-like(Z=10)")
-    ne_rate = 1.0 / ne.lifetime_2s.to("s").value
+    ne_rate = 1.0 / ne.lifetime_2s.value
     gate.check(1e6 <= ne_rate <= 1e8,
                f"Ne8+ rate {ne_rate:.3g} /s not ~1e7 order of magnitude")
     gate.finish(t0, budget_s=10.0)
@@ -180,20 +181,15 @@ def test_criterion_5_exact_formula_recomputations():
         gate.check(abs(got / ref - 1.0) <= tol,
                    f"{label}: got {got:.4g}, {what} {ref:.4g} (+/-{tol:.0%})")
 
-    within("E0 at 1e14 W/cm^2",
-           0.053, intensity_to_field(Quantity(1e14, "W/cm^2")).au)
-    f053 = Quantity(0.053, "au_field")
-    omega4 = four_photon_rabi(HE, field=f053)
-    within("Omega4 (a.u.)", 7.35e-5, omega4.au)
-    within("Omega4 (1/s)", 1.9e13, 2.0 * np.pi * omega4.au / AU_TIME_S)
-    r4 = four_photon_rate(HE, field=f053)
-    within("R4 (a.u.)", 3.4e-8, r4.au)
-    alpha4 = absorption_coefficient(4, Quantity(1e9, "1/s"), 1e19,
-                                    Quantity(1e14, "W/cm^2"), Quantity(5.155, "eV"))
+    within("E0 at 1e14 W/cm^2", 0.053, intensity_to_field(1e14 * W_CM2))
+    omega4 = four_photon_rabi(HE, field_au=0.053)
+    within("Omega4 (a.u.)", 7.35e-5, omega4)
+    within("Omega4 (1/s)", 1.9e13, 2.0 * np.pi * omega4 / AU_TIME_S)
+    within("R4 (a.u.)", 3.4e-8, four_photon_rate(HE, field_au=0.053))
+    alpha4 = absorption_coefficient(4, 1e9 * PER_S, 1e19, 1e14 * W_CM2, 5.155 * EV)
     within("alpha4", 3.4e-46, alpha4)
     within("absorption fraction", 3.4e-5,
-           attenuation_fraction(Quantity(1e14, "W/cm^2"), alpha4,
-                                Quantity(1.0, "mm"), 4))
+           attenuation_fraction(1e14 * W_CM2, alpha4, 1.0 * MM, 4))
     seq = biphoton_rate_sequential(SchemeConfig(), HE)
     within("steady-state fraction", 0.47,
            seq.steps["steady_state_fraction"].value)
@@ -206,8 +202,7 @@ def test_criterion_5_exact_formula_recomputations():
     within("sigma_e / printed 1e-29 (documented factor)", 100.0,
            sigma_e / SIGMA_E_PRINTED, what="documented")
     within("focal-volume atoms", 7.8e13,
-           atoms_in_focal_volume(1.0, 293.0, Quantity(100.0, "um"),
-                                 Quantity(1.0, "mm")), tol=0.10)
+           atoms_in_focal_volume(1.0, 293.0, 100.0 * UM, 1.0 * MM), tol=0.10)
     gate.finish(t0, budget_s=10.0)
 
 
@@ -221,16 +216,12 @@ def test_criterion_6_order_of_magnitude_budgets():
 
     # budgets chained from the printed rounded intermediates, matching how
     # the published numbers were derived from each other
-    alpha4 = absorption_coefficient(4, Quantity(1e9, "1/s"), 1e19,
-                                    Quantity(1e14, "W/cm^2"), Quantity(5.155, "eV"))
-    frac4 = attenuation_fraction(Quantity(1e14, "W/cm^2"), alpha4,
-                                 Quantity(1.0, "mm"), 4)
-    from biphoton.units import photon_flux
-    flux = photon_flux(Quantity(1e14, "W/cm^2"), Quantity(5.155, "eV"),
-                       Quantity(100.0, "um"))
-    narrow = flux.value * frac4 / 4.0
+    alpha4 = absorption_coefficient(4, 1e9 * PER_S, 1e19, 1e14 * W_CM2, 5.155 * EV)
+    frac4 = attenuation_fraction(1e14 * W_CM2, alpha4, 1.0 * MM, 4)
+    flux = photon_flux(1e14 * W_CM2, 5.155 * EV, 100.0 * UM)
+    narrow = flux * frac4 / 4.0
     oom("narrowband rate", 1e22, narrow, factor=10.0)
-    width = 1.0 / HE.lifetime_2s.to("s").value
+    width = 1.0 / HE.lifetime_2s.value
     oom("broadband rate", 1e11, narrow * width / 5e12, factor=10.0)
     seq = biphoton_rate_sequential(SchemeConfig(), HE)
     oom("sequential rate", 3.6e13, seq.final_rate.value)

@@ -440,7 +440,6 @@ def test_first_numerical_call_rebinds_np_to_numpy(tmp_path):
 import numpy
 from biphoton import cavity, cli, quadrature, schemes, spectrum
 from biphoton.registry import species
-from biphoton.units import Quantity
 modules = (quadrature, cavity, spectrum, schemes, cli)
 assert not any(m.np is numpy for m in modules)
 quadrature.gauss_legendre(4, 1.0)
@@ -448,7 +447,7 @@ cavity.angular_jacobian(cavity.Spheroid(2.0, 1.0), [0.5])
 spectrum.FlatChain(1.0).chain_sum([0.5])
 he = species("He")
 emitter = spectrum.spectral_amplitude(spectrum.provider_pole(he), 4)
-schemes.r_trans(1.0, Quantity(1.0, "au_field"), he, emitter)
+schemes.r_trans(1.0, 1.0, he, emitter)
 assert cli.main(["theta-curve", "--points", "2", "--out", "curve.csv"]) == 0
 print([m.__name__ for m in modules if m.np is not numpy])
 """
@@ -457,7 +456,7 @@ print([m.__name__ for m in modules if m.np is not numpy])
 
 
 def test_cli_paths_do_not_import_scipy(tmp_path):
-    """scipy serves only the Bessel oracle, so a fresh process that imports
+    """scipy is a test dependency only, so a fresh process that imports
     biphoton and runs these commands loads no scipy module."""
     script = f"""
 import json, sys

@@ -1,6 +1,7 @@
 """Every name a module lists in ``__all__`` exists on it, so a stale entry
-fails here and not only under ``from biphoton.<module> import *``; and every
-module-level import is read, so an unused one fails here."""
+fails here and not only under ``from biphoton.<module> import *``; every
+module-level import is read, so an unused one fails here; and every name a
+demo imports from biphoton exists, though tier-1 runs only one demo."""
 
 import ast
 import importlib
@@ -27,8 +28,10 @@ def test_all_names_exist(name):
 
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted(p for p in Path(biphoton.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py") + sorted(REPO_ROOT.glob("tests/*.py"))
+PACKAGE = sorted(Path(biphoton.__file__).parent.glob("*.py"))
+DEMOS = sorted(REPO_ROOT.glob("demos/*.py"))
+SOURCES = ([p for p in PACKAGE if p.name != "__init__.py"]
+           + sorted(REPO_ROOT.glob("tests/*.py")) + DEMOS)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -67,3 +70,24 @@ def test_module_imports_are_read(path):
                 continue
             unread.append(f"{path.name}:{node.lineno} {name}")
     assert unread == []
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_imports_resolve(path):
+    imports = [node for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom) and node.module.startswith("biphoton")]
+    assert [f"{n.module}.{a.name}" for n in imports for a in n.names
+            if not hasattr(importlib.import_module(n.module), a.name)] == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_units_stay_at_the_boundary(path):
+    """Only the modules that hand back labelled values, and the package
+    export, name ``Quantity``; no module converts with ``.to(...)``."""
+    nodes = list(ast.walk(ast.parse(path.read_text())))
+    named = {getattr(n, "id", None) for n in nodes} | {
+        a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names}
+    if path.name not in {"units.py", "registry.py", "spectrum.py", "__init__.py"}:
+        assert "Quantity" not in named
+    assert not any(isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "to"
+                   for n in nodes)

@@ -35,13 +35,13 @@ class TestHeLike:
 
     def test_neon_gap(self):
         ne = species("He-like(Z=10)")
-        assert ne.delta_eg.to("eV").value == pytest.approx(915.0, rel=0.02)
+        assert ne.delta_eg.value == pytest.approx(915.0, rel=0.02)
 
     def test_lifetime_z6_scaling(self):
         he, ne = species("He"), species("He-like(Z=10)")
         sigma = default_registry()._sigma
         lam = (10 - sigma) / (2 - sigma)
-        ratio = he.lifetime_2s.to("s").value / ne.lifetime_2s.to("s").value
+        ratio = he.lifetime_2s.value / ne.lifetime_2s.value
         assert ratio == pytest.approx(lam**6, rel=1e-12)
 
     def test_invalid_z(self):

@@ -15,6 +15,7 @@ from biphoton.spectrum import (
     UncalibratedProviderError,
     correlation_function,
     correlation_time,
+    flat_correlation_closed_form,
     hydrogenic_scaled,
     provider_flat,
     provider_pole,
@@ -112,8 +113,8 @@ class TestCorrelation:
     def test_correlation_time_pinned(self):
         spec = spectral_amplitude(provider_pole(HE))
         tau = correlation_time(correlation_function(spec))
-        assert tau.width.to("s").value == pytest.approx(2.0057e-16, rel=1e-3)
-        assert tau.width.to("s").value == pytest.approx(1.93e-16, rel=0.25)
+        assert tau.width.value == pytest.approx(2.0057e-16, rel=1e-3)
+        assert tau.width.value == pytest.approx(1.93e-16, rel=0.25)
 
     def test_two_time_points_give_symmetric_grid(self):
         spec = spectral_amplitude(provider_pole(HE), n_points=64)
@@ -138,6 +139,20 @@ class TestCorrelation:
         b = correlation_time(correlation_function(
             spectral_amplitude(provider_pole(HE), n_points=4096))).width_au
         assert a == pytest.approx(b, rel=1e-6)
+
+    def test_flat_closed_form_matches_mpmath_bessel(self):
+        """Against 40-digit e^{iz} Gamma(9/2)(2/z)^(7/2) J_(7/2)(z) on 281
+        points of [1e-6, 60], both sides of the z = 2 branch point (delta = 2
+        makes z = t).  This form is off by 6.7e-16; scipy's jv was 6.9e-15."""
+        z = np.concatenate((np.geomspace(1e-6, 2.0, 81, endpoint=False),
+                            np.linspace(2.0, 60.0, 200)))
+        with mpmath.workdps(40):
+            exact = np.array([complex(mpmath.expj(x) * mpmath.gamma(4.5)
+                                      * (2 / mpmath.mpf(x)) ** 3.5 * mpmath.besselj(3.5, x))
+                              for x in z])
+        got = flat_correlation_closed_form(z, 2.0)
+        assert float(np.max(np.abs(got - exact))) <= 2e-15
+        assert flat_correlation_closed_form(0.0, 2.0) == 1.0
 
 
 @functools.cache
