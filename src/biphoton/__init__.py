@@ -10,7 +10,7 @@ from .cavity import (
     theta_factor_mc,
     theta_factor_quadrature,
 )
-from .registry import Registry, SpeciesData, SpeciesNotFound, default_registry, species
+from .registry import SpeciesData, SpeciesNotFound, default_registry, species
 from .reporting import ReproRow, ReproTable, Scenario, SchemaError, repro_report, run_scenario
 from .schemes import (
     NonFiniteRateError,

@@ -220,8 +220,8 @@ def theta_factor_quadrature(
     Building the 2048-node rule takes a transient of about 64 MiB in
     ``leggauss``, which stays the ceiling of a run that reaches that level.
     """
-    if not rel_tol > 0:
-        raise ValueError("rel_tol must be positive")
+    if not (math.isfinite(rel_tol) and rel_tol > 0):
+        raise ValueError("rel_tol must be finite and positive")
     _check_convention(convention)
     if literal:
         return _theta_literal(s, 48, 24, convention)

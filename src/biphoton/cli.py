@@ -24,7 +24,7 @@ from .cavity import (
     theta_factor_mc,
     theta_factor_quadrature,
 )
-from .registry import SpeciesNotFound, default_registry
+from .registry import SpeciesNotFound, species
 from .reporting import (
     Scenario,
     SchemaError,
@@ -59,11 +59,11 @@ def _out_path(name: str) -> Path:
 
 
 def _provider(species_name: str, kind: str):
-    species = default_registry().species(species_name)
+    data = species(species_name)
     if kind not in spc.PROVIDERS:
         raise SchemaError(f"unknown provider {kind!r}; use "
                           f"{' or '.join(map(repr, spc.PROVIDERS))}")
-    return spc.PROVIDERS[kind](species)
+    return spc.PROVIDERS[kind](data)
 
 
 def _cmd_theta(args) -> int:
@@ -123,8 +123,8 @@ def _cmd_lifetime(args) -> int:
 
 def _cmd_rates(args) -> int:
     scenario = Scenario.from_file(args.config or bundled_scenario_path())
-    species = default_registry().species(scenario.species)
-    report = sch.SCHEMES[args.scheme].run(scenario.config(args.scheme), species)
+    data = species(scenario.species)
+    report = sch.SCHEMES[args.scheme].run(scenario.config(args.scheme), data)
     text = report.to_json()
     if args.out:
         path = _out_path(args.out)

@@ -10,15 +10,17 @@ with the sixth power of the effective charge.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
+import types
 from dataclasses import dataclass
 from importlib import resources
 
 from .units import HARTREE_EV, Quantity
 
-__all__ = ["SpeciesData", "SpeciesNotFound", "Registry", "species", "default_registry"]
+__all__ = ["SpeciesData", "SpeciesNotFound", "species", "default_registry"]
 
 _HE_LIKE = re.compile(r"^He-like\(Z=(\d+)\)$")
 
@@ -31,7 +33,7 @@ class SpeciesNotFound(KeyError):
 
 @dataclass(frozen=True)
 class SpeciesData:
-    """Atomic inputs for one emitter species.  All optional fields may be None."""
+    """Atomic inputs for one emitter species.  Only ``d4_eg`` may be None."""
 
     name: str
     delta_eg: Quantity          # E(1s2s) - E(1s^2), in eV
@@ -39,7 +41,7 @@ class SpeciesData:
     f_g2p: float                # oscillator strength 1s^2 -> 1s2p
     f_2p2s: float               # oscillator strength 1s2p -> 1s2s (negative: downward)
     d4_eg: float | None         # four-photon matrix element, a.u.
-    lifetime_2s: Quantity | None   # in s
+    lifetime_2s: Quantity       # in s
     z: int
 
     def __post_init__(self):
@@ -49,7 +51,7 @@ class SpeciesData:
             raise ValueError(f"{self.name}: expected delta_eg < e_2p")
         if self.d4_eg is not None and not self.d4_eg > 0:
             raise ValueError(f"{self.name}: d4_eg must be positive")
-        if self.lifetime_2s is not None and not self.lifetime_2s.au > 0:
+        if not self.lifetime_2s.au > 0:
             raise ValueError(f"{self.name}: lifetime_2s must be positive")
 
     @property
@@ -70,75 +72,50 @@ def _entry_to_species(name: str, raw: dict) -> SpeciesData:
         f_g2p=raw["f_g2p"],
         f_2p2s=raw["f_2p2s"],
         d4_eg=raw.get("d4_eg_au"),
-        lifetime_2s=(
-            Quantity(raw["lifetime_2s_s"], "s") if raw.get("lifetime_2s_s") else None
-        ),
+        lifetime_2s=Quantity(raw["lifetime_2s_s"], "s"),
         z=raw["z"],
     )
 
 
-class Registry:
-    def __init__(self, entries: dict[str, SpeciesData]):
-        self._entries = dict(entries)
-        he = self._entries["He"]
-        # screening constant from the helium 1s2s-1s^2 gap
-        self._sigma = he.z - math.sqrt(he.delta_eg.au / 0.375)
-
-    @classmethod
-    def builtin(cls) -> "Registry":
-        raw = json.loads(
-            resources.files("biphoton").joinpath("data/species.json").read_text()
-        )
-        return cls({k: _entry_to_species(k, v) for k, v in raw["species"].items()})
-
-    def names(self) -> list[str]:
-        return sorted(self._entries) + ["He-like(Z=n)"]
-
-    def _he_like(self, z: int) -> SpeciesData:
-        he = self._entries["He"]
-        zeff = z - self._sigma
-        zeff_he = he.z - self._sigma
-        scale = (zeff / zeff_he) ** 2
-        lifetime = None
-        if he.lifetime_2s is not None:
-            lifetime = Quantity(he.lifetime_2s.value * (zeff_he / zeff) ** 6, "s")
-        return SpeciesData(
-            name=f"He-like(Z={z})",
-            delta_eg=Quantity(0.375 * zeff**2 * HARTREE_EV, "eV"),
-            e_2p=Quantity(he.e_2p.au * scale * HARTREE_EV, "eV"),
-            f_g2p=he.f_g2p,
-            f_2p2s=he.f_2p2s,
-            d4_eg=None,
-            lifetime_2s=lifetime,
-            z=z,
-        )
-
-    def species(self, name: str) -> SpeciesData:
-        if name in self._entries:
-            return self._entries[name]
-        m = _HE_LIKE.match(name)
-        if m:
-            z = int(m.group(1))
-            if z < 2:
-                raise SpeciesNotFound(f"He-like requires Z >= 2, got {z}")
-            if z == 2:
-                return self._entries["He"]
-            return self._he_like(z)
-        raise SpeciesNotFound(
-            f"unknown species {name!r}; available: {self.names()}"
-        )
+@functools.cache
+def default_registry() -> types.MappingProxyType[str, SpeciesData]:
+    """The shipped species records by name, read-only; loaded once per process."""
+    raw = json.loads(
+        resources.files("biphoton").joinpath("data/species.json").read_text()
+    )
+    return types.MappingProxyType(
+        {k: _entry_to_species(k, v) for k, v in raw["species"].items()})
 
 
-_DEFAULT: Registry | None = None
-
-
-def default_registry() -> Registry:
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = Registry.builtin()
-    return _DEFAULT
+def _he_like(z: int) -> SpeciesData:
+    he = default_registry()["He"]
+    # screening constant from the helium 1s2s-1s^2 gap
+    sigma = he.z - math.sqrt(he.delta_eg.au / 0.375)
+    zeff = z - sigma
+    zeff_he = he.z - sigma
+    return SpeciesData(
+        name=f"He-like(Z={z})",
+        delta_eg=Quantity(0.375 * zeff**2 * HARTREE_EV, "eV"),
+        e_2p=Quantity(he.e_2p.au * (zeff / zeff_he) ** 2 * HARTREE_EV, "eV"),
+        f_g2p=he.f_g2p,
+        f_2p2s=he.f_2p2s,
+        d4_eg=None,
+        lifetime_2s=Quantity(he.lifetime_2s.value * (zeff_he / zeff) ** 6, "s"),
+        z=z,
+    )
 
 
 def species(name: str) -> SpeciesData:
-    """Look up a species in the built-in registry."""
-    return default_registry().species(name)
+    """A shipped species by name, or ``He-like(Z=n)`` scaled from helium."""
+    shipped = default_registry()
+    if name in shipped:
+        return shipped[name]
+    m = _HE_LIKE.match(name)
+    if m:
+        z = int(m.group(1))
+        if z < 2:
+            raise SpeciesNotFound(f"He-like requires Z >= 2, got {z}")
+        return shipped["He"] if z == 2 else _he_like(z)
+    raise SpeciesNotFound(
+        f"unknown species {name!r}; available: {sorted(shipped) + ['He-like(Z=n)']}"
+    )

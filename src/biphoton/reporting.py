@@ -30,7 +30,7 @@ from . import spectrum as spc
 from .cavity import THETA_SPHERE, theta_curve
 # nothing here calls it; perfbench/test_tracing.py traces a call through this binding
 from .cavity import theta_factor_quadrature  # noqa: F401
-from .registry import default_registry
+from .registry import species
 from .units import (
     AU_TIME_S,
     EV,
@@ -256,7 +256,7 @@ def _stages(scenario: Scenario, figure_ratios: list[float]) -> tuple[
     when ``figure_ratios`` lacks them; the returned curve holds only
     ``figure_ratios``.
     """
-    he = default_registry().species(scenario.species)
+    he = species(scenario.species)
     configs = {scheme: scenario.config(scheme) for scheme in sch.SCHEMES}
     reports = {scheme: entry.run(configs[scheme], he)
                for scheme, entry in sch.SCHEMES.items()}
@@ -334,7 +334,7 @@ def _repro_table(configs: dict[str, sch.SchemeConfig], he,
     rows.append(_row("lifetime_he_rate", "two-photon decay rate of the 2s level",
                      50.8, rate_he.value, "order-of-magnitude", 3.0,
                      note="single-intermediate-state truncation"))
-    ne = default_registry().species("He-like(Z=10)")
+    ne = species("He-like(Z=10)")
     rows.append(_row("ne_rate", "Z-scaled two-photon rate at Z=10",
                      1e7, 1.0 / ne.lifetime_2s.value,
                      "order-of-magnitude", 10.0))
@@ -439,8 +439,7 @@ def run_scenario(path, out_dir=None) -> list[Path]:
     reports, curve, corr, table = _stages(scenario, scenario.ratios)
     # the repro rows use the pole chain; fig2.csv shows the scenario's provider
     fig2 = corr if scenario.provider == "pole" else _correlation(
-        scenario, spc.PROVIDERS[scenario.provider](
-            default_registry().species(scenario.species)))[1]
+        scenario, spc.PROVIDERS[scenario.provider](species(scenario.species)))[1]
     texts = {
         "fig_s1.csv": _theta_curve_csv(curve),
         "fig2.csv": _correlation_csv(fig2),

@@ -287,8 +287,6 @@ def four_photon_rate_broadband(config: SchemeConfig, species: SpeciesData) -> Ra
     """
     delta_hz = _bandwidth_hz(config, "broadband-4photon")
     pair_rate, steps = _narrowband_steps(config, species)
-    if species.lifetime_2s is None:
-        raise ValueError(f"{species.name}: no lifetime to derive a linewidth from")
     width_hz = 1.0 / species.lifetime_2s.value
     peak_density = 1.0 / delta_hz
     overlap = width_hz * peak_density
@@ -522,8 +520,6 @@ def collection_fraction(solid_angle_fraction: float) -> float:
     f = solid_angle_fraction
     if not 0.0 <= f <= 1.0:
         raise ValueError(f"solid-angle fraction must be in [0, 1], got {f}")
-    if f == 0.0:
-        return 0.0
     cos_alpha = 1.0 - 2.0 * f
     omega_c = 4.0 * math.pi * f
     m_zz = 2.0 * math.pi * (1.0 - cos_alpha**3) / 3.0

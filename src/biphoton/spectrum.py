@@ -121,8 +121,6 @@ def provider_pole(species: SpeciesData) -> PoleChain:
     matrix element, so the chain strength is
     3*sqrt(f_g2p/(2*D_jg))*sqrt(|f_2p2s|/(2*|D_ej|)).
     """
-    if species.f_g2p is None or species.f_2p2s is None:
-        raise ValueError(f"{species.name}: oscillator strengths required")
     djg = species.e_2p.au
     dej = abs(species.delta_ej.au)
     strength = 3.0 * math.sqrt(species.f_g2p / (2.0 * djg)) * math.sqrt(

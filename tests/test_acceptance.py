@@ -28,7 +28,7 @@ from biphoton.cavity import (
     theta_factor_quadrature,
 )
 from biphoton.cli import EXIT_ACCEPTANCE, main
-from biphoton.registry import default_registry, species
+from biphoton.registry import species
 from biphoton.reporting import bundled_scenario_path, run_scenario
 from biphoton.schemes import (
     SchemeConfig,
@@ -166,7 +166,7 @@ def test_criterion_4_lifetime_and_z_scaling():
         scaled, _ = two_photon_decay_rate(hydrogenic_scaled(provider_pole(HE), lam))
         gate.check(abs(scaled.value / rate.value - lam**6) <= 1e-10 * lam**6,
                    f"Z-scaling not exact at lambda={lam}")
-    ne = default_registry().species("He-like(Z=10)")
+    ne = species("He-like(Z=10)")
     ne_rate = 1.0 / ne.lifetime_2s.value
     gate.check(1e6 <= ne_rate <= 1e8,
                f"Ne8+ rate {ne_rate:.3g} /s not ~1e7 order of magnitude")

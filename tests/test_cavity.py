@@ -167,6 +167,13 @@ class TestThetaQuadrature:
         with pytest.raises(ValueError):
             theta_factor_quadrature(Spheroid(2.0, 1.0), convention="mirror")
 
+    @pytest.mark.parametrize("rel_tol", [math.inf, math.nan])
+    def test_non_finite_rel_tol_rejected_before_any_rule(self, rel_tol, rule_builds):
+        # with inf any two levels agree: the coarsest pair would be returned
+        with pytest.raises(ValueError, match="rel_tol must be finite and positive"):
+            theta_factor_quadrature(Spheroid(148.0, 1.0), rel_tol=rel_tol)
+        assert rule_builds == Counter()
+
 
 class TestThetaMC:
     @pytest.mark.parametrize("ratio", [1.0, 1.5, 2.0, 4.0, 10.0])

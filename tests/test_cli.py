@@ -51,6 +51,13 @@ class TestTheta:
         assert "numerical error (ThetaConvergenceError)" in err
         assert out == ""
 
+    def test_infinite_rel_tol_is_config_error(self, capsys, rule_builds):
+        code, out, err = run(["theta", "--ratio", "2", "--rel-tol", "inf"], capsys)
+        assert code == EXIT_CONFIG
+        assert "configuration error: rel_tol must be finite and positive" in err
+        assert out == ""
+        assert rule_builds == Counter()
+
     def test_zero_mc_samples_is_config_error(self, capsys):
         code, out, err = run(["theta", "--ratio", "2", "--mc", "0"], capsys)
         assert code == EXIT_CONFIG
@@ -334,6 +341,18 @@ class TestRun:
         assert code == EXIT_CONFIG
         assert "need finite a >= b > 0, got a=inf" in err
 
+    def test_infinite_rel_tol_is_config_error(self, tmp_path, capsys):
+        # json reads Infinity as a float, which passes the "number" schema check
+        scenario = tmp_path / "inf.json"
+        scenario.write_text('{"geometry": {"ratios": [148.0], "rel_tol": Infinity}}')
+        out_dir = tmp_path / "out"
+        code, out, err = run(["run", str(scenario), "--out-dir", str(out_dir)],
+                             capsys)
+        assert code == EXIT_CONFIG
+        assert "configuration error: rel_tol must be finite and positive" in err
+        assert "wrote" not in out
+        assert not out_dir.exists()
+
     def test_non_finite_rate_is_numerical_error(self, tmp_path, capsys):
         scenario = tmp_path / "huge.json"
         scenario.write_text(json.dumps({
@@ -416,9 +435,9 @@ def test_config_paths_do_not_import_numpy(tmp_path):
 import json, sys
 import biphoton
 from biphoton.cli import main
-from biphoton.registry import default_registry
+from biphoton.registry import species
 from biphoton.reporting import Scenario, bundled_scenario_path
-default_registry().species("He")
+species("He")
 Scenario.from_file(bundled_scenario_path())
 for scheme in {list(sch.SCHEMES)!r}:
     assert main(["rates", scheme]) == 0, scheme

@@ -1,7 +1,8 @@
 """Every name a module lists in ``__all__`` exists on it, so a stale entry
 fails here and not only under ``from biphoton.<module> import *``; every
-module-level import is read, so an unused one fails here; and every name a
-demo imports from biphoton exists, though tier-1 runs only one demo."""
+module-level import is read, so an unused one fails here; every name a
+demo imports from biphoton exists, though tier-1 runs only one demo; units
+stay at the boundary; and species are looked up one way."""
 
 import ast
 import importlib
@@ -91,3 +92,15 @@ def test_units_stay_at_the_boundary(path):
         assert "Quantity" not in named
     assert not any(isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "to"
                    for n in nodes)
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "registry.py"],
+                         ids=lambda p: p.name)
+def test_one_species_lookup(path):
+    """Outside ``registry.py`` the package looks species up through
+    ``species(name)`` only; the package export may re-export
+    ``default_registry`` but nothing calls it."""
+    calls = [n.lineno for n in ast.walk(ast.parse(path.read_text()))
+             if isinstance(n, ast.Call) and "default_registry" in (
+                 getattr(n.func, "id", None), getattr(n.func, "attr", None))]
+    assert calls == []

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from biphoton.registry import (
@@ -39,10 +41,22 @@ class TestHeLike:
 
     def test_lifetime_z6_scaling(self):
         he, ne = species("He"), species("He-like(Z=10)")
-        sigma = default_registry()._sigma
+        sigma = 2 - math.sqrt(he.delta_eg.au / 0.375)
         lam = (10 - sigma) / (2 - sigma)
         ratio = he.lifetime_2s.value / ne.lifetime_2s.value
         assert ratio == pytest.approx(lam**6, rel=1e-12)
+
+    @pytest.mark.parametrize("z, delta_eg, e_2p, lifetime_2s", [
+        (3, 59.83544314820485, 61.57653266755126, 0.0008062257660027316),
+        (5, 199.49194849808757, 205.29675786272634, 2.175484995606747e-05),
+        (10, 905.782656351387, 932.1390867010876, 2.3241288778812527e-07),
+        (20, 3849.0045483948106, 3961.002740879626, 3.028913954770956e-09),
+    ], ids=["Z3", "Z5", "Z10", "Z20"])
+    def test_records_pinned_bit_for_bit(self, z, delta_eg, e_2p, lifetime_2s):
+        ion = species(f"He-like(Z={z})")
+        assert (ion.delta_eg.value, ion.e_2p.value, ion.lifetime_2s.value) == (
+            delta_eg, e_2p, lifetime_2s)
+        assert ion.d4_eg is None
 
     def test_invalid_z(self):
         with pytest.raises(SpeciesNotFound) as err:
@@ -57,12 +71,22 @@ class TestHeLike:
         assert str(err.value).startswith("unknown species 'Xe'; available: [")
 
 
+class TestDefaultRegistry:
+    def test_loaded_once_and_read_only(self):
+        shipped = default_registry()
+        assert shipped is default_registry()
+        assert list(shipped) == ["He"]
+        with pytest.raises(TypeError):
+            shipped["He"] = None
+        assert species("He") is shipped["He"]
+
+
 class TestUserOverlay:
     """The checks every species entry passes, those of the shipped
     ``species.json`` included."""
 
     ENTRY = {"delta_eg_ev": 20.0, "e_2p_ev": 21.0, "f_g2p": 0.3,
-             "f_2p2s": -0.3, "z": 2}
+             "f_2p2s": -0.3, "lifetime_2s_s": 0.02, "z": 2}
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="typo_field"):
@@ -71,3 +95,5 @@ class TestUserOverlay:
     def test_invariants_enforced(self):
         with pytest.raises(ValueError, match="delta_eg < e_2p"):
             _entry_to_species("X", {**self.ENTRY, "delta_eg_ev": 22.0})
+        with pytest.raises(ValueError, match="lifetime_2s must be positive"):
+            _entry_to_species("X", {**self.ENTRY, "lifetime_2s_s": 0.0})
