@@ -13,7 +13,7 @@ from biphoton.schemes import SCHEMES
 def main() -> None:
     scenario = Scenario.from_file(bundled_scenario_path())
     he = species(scenario.species)
-    reports = {scheme: entry.run(scenario.config(scheme), he)
+    reports = {scheme: entry.run(scenario.configs[scheme], he)
                for scheme, entry in SCHEMES.items()}
     print(f"{'scheme':<20}  {'final rate (1/s)':>16}")
     for name, rep in reports.items():

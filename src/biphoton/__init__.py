@@ -16,7 +16,6 @@ from .schemes import (
     NonFiniteRateError,
     RateReport,
     ReportEntry,
-    SchemeConfig,
     absorption_coefficient,
     attenuation_fraction,
     biphoton_rate_narrowband,

@@ -82,6 +82,8 @@ def _cmd_theta(args) -> int:
 def _cmd_theta_curve(args) -> int:
     if args.points < 1:
         raise ValueError(f"--points must be >= 1, got {args.points}")
+    if args.points > 10_000:
+        raise ValueError(f"--points must be <= 10000, got {args.points}")
     ratios = np.geomspace(args.min, args.max, args.points)
     rows = theta_curve(ratios, rel_tol=args.rel_tol)
     path = _out_path(args.out)
@@ -124,7 +126,7 @@ def _cmd_lifetime(args) -> int:
 def _cmd_rates(args) -> int:
     scenario = Scenario.from_file(args.config or bundled_scenario_path())
     data = species(scenario.species)
-    report = sch.SCHEMES[args.scheme].run(scenario.config(args.scheme), data)
+    report = sch.SCHEMES[args.scheme].run(scenario.configs[args.scheme], data)
     text = report.to_json()
     if args.out:
         path = _out_path(args.out)

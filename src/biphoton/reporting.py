@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass, asdict
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import schemes as sch
 from . import spectrum as spc
@@ -92,7 +93,8 @@ def _check_keys(obj: dict, allowed: dict, path: str):
 @dataclass(frozen=True)
 class Scenario:
     """Validated scenario file: species, geometry sweep, spectrum settings,
-    and per-scheme overrides."""
+    and each scheme's runner inputs (``Scheme.config`` with the file's
+    overrides)."""
 
     species: str
     ratios: list[float]
@@ -101,7 +103,7 @@ class Scenario:
     n_omega: int
     t_max_au: float
     n_t: int
-    scheme_overrides: dict[str, dict]
+    configs: dict[str, SimpleNamespace]
 
     @classmethod
     def from_file(cls, path) -> "Scenario":
@@ -138,12 +140,19 @@ class Scenario:
         schemes = raw.get("schemes", {})
         if not isinstance(schemes, dict):
             raise SchemaError("$.schemes: expected an object")
-        for scheme, overrides in schemes.items():
+        for scheme in schemes:
             if scheme not in sch.SCHEMES:
                 raise SchemaError(f"$.schemes.{scheme}: unknown scheme; "
                                   f"one of {tuple(sch.SCHEMES)}")
-            _check_keys(overrides, dict.fromkeys(sch.SCHEMES[scheme].keys, "number"),
+        configs = {}
+        for scheme, entry in sch.SCHEMES.items():
+            overrides = schemes.get(scheme, {})
+            _check_keys(overrides, dict.fromkeys(entry.defaults, "number"),
                         f"$.schemes.{scheme}")
+            try:
+                configs[scheme] = entry.config(**overrides)
+            except ValueError as exc:
+                raise SchemaError(f"$.schemes.{scheme}: {exc}") from None
         ratios = [float(r) for r in geometry.get(
             "ratios", [1, 1.5, 2, 3, 5, 8, 12, 20, 40, 80, 148])]
         if any(r < 1 for r in ratios):
@@ -153,9 +162,8 @@ class Scenario:
         n_omega = spectrum.get("n_omega", 2048)
         n_t = spectrum.get("n_t", 4096)
         t_max_au = float(spectrum.get("t_max_au", 40.0))
-        if n_omega < 2:
-            raise SchemaError(f"$.spectrum.n_omega must be >= 2, got {n_omega}")
         try:
+            spc._check_n_points(n_omega, "$.spectrum.n_omega")
             spc._check_time_grid(t_max_au, n_t, "$.spectrum.")
         except ValueError as exc:
             raise SchemaError(str(exc)) from None
@@ -167,12 +175,8 @@ class Scenario:
             n_omega=n_omega,
             t_max_au=t_max_au,
             n_t=n_t,
-            scheme_overrides={k: dict(v) for k, v in schemes.items()},
+            configs=configs,
         )
-
-    def config(self, scheme: str) -> sch.SchemeConfig:
-        return sch.SchemeConfig(**{**sch.SCHEMES[scheme].defaults,
-                                   **self.scheme_overrides.get(scheme, {})})
 
 
 def bundled_scenario_path() -> Path:
@@ -257,15 +261,15 @@ def _stages(scenario: Scenario, figure_ratios: list[float]) -> tuple[
     ``figure_ratios``.
     """
     he = species(scenario.species)
-    configs = {scheme: scenario.config(scheme) for scheme in sch.SCHEMES}
-    reports = {scheme: entry.run(configs[scheme], he)
+    reports = {scheme: entry.run(scenario.configs[scheme], he)
                for scheme, entry in sch.SCHEMES.items()}
     curve = theta_curve(
         [*figure_ratios, *(r for r in (1.0, 148.0) if r not in figure_ratios)],
         rel_tol=scenario.geometry_rel_tol)
     theta = {row["ratio"]: row["theta"] for row in curve}
     spec, corr = _correlation(scenario, spc.provider_pole(he))
-    table = _repro_table(configs, he, spec, corr, reports, theta[1.0], theta[148.0])
+    table = _repro_table(scenario.configs, he, spec, corr, reports,
+                         theta[1.0], theta[148.0])
     return reports, curve[:len(figure_ratios)], corr, table
 
 
@@ -277,12 +281,12 @@ def repro_report(scenario: Scenario | None = None) -> ReproTable:
     return table
 
 
-def _repro_table(configs: dict[str, sch.SchemeConfig], he,
+def _repro_table(configs: dict[str, SimpleNamespace], he,
                  spec: spc.BiphotonSpectrum, corr: spc.CorrelationSeries,
                  reports: dict[str, sch.RateReport],
                  th_sphere: float, th_148: float) -> ReproTable:
     """Rows of the reproduction table, all computed from one scenario:
-    ``configs`` are its scheme configs, ``spec`` the pole-chain spectrum,
+    ``configs`` are its schemes' runner inputs, ``spec`` the pole-chain spectrum,
     ``corr`` its correlation, ``reports`` the scheme reports, and
     ``th_sphere`` and ``th_148`` are Theta(1) and Theta(148)."""
     rows: list[ReproRow] = []

@@ -26,7 +26,8 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, asdict
+from types import SimpleNamespace
 
 from ._numpy import LazyNumpy
 from .registry import SpeciesData
@@ -57,7 +58,6 @@ np = LazyNumpy(globals())
 __all__ = [
     "SCHEMES",
     "Scheme",
-    "SchemeConfig",
     "PUMP_PHOTON_ENERGY_EV",
     "LAMP_INTENSITY_WCM2",
     "LAMP_PHOTON_ENERGY_EV",
@@ -99,60 +99,8 @@ ENTANGLEMENT_AREA_CM2 = 1e-8                        # etpa: A_e
 
 
 def _positive(name, value):
-    if value is not None and not (math.isfinite(value) and value > 0):
+    if value is None or not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {value}")
-
-
-@dataclass(frozen=True)
-class SchemeConfig:
-    """Inputs for one scheme estimate.  Each field is the scenario override
-    key that sets it (``schemes.<id>.<field>`` in a scenario file), a plain
-    number in the unit its name carries.  Defaults are the reference
-    scenario: 100 um spot, 1 mm path, 1 bar, pump at 1e14 W/cm^2.  The
-    printed inputs that no scenario varies are the module constants above."""
-
-    intensity_wcm2: float = 1e14
-    spot_diameter_um: float = 100.0
-    path_length_mm: float = 1.0
-    pressure_bar: float = 1.0
-    temperature_k: float = 293.0
-    lineshape_factor_au: float = 1.0
-    # broadband / scrap
-    bandwidth_hz: float | None = None              # ordinary frequency
-    pulse_duration_fs: float = 50.0
-    repetition_rate_hz: float = 1e5
-    excitation_fraction: float = 0.01
-    n_atoms: float | None = None                   # override for focal-volume count
-    # sequential
-    tau_2p_ns: float = 2.05
-    # etpa
-    photon_rate_hz: float = 1e12
-    molecules: float = 1e12
-
-    def __post_init__(self):
-        if not (math.isfinite(self.intensity_wcm2) and self.intensity_wcm2 >= 0):
-            raise ValueError(
-                f"intensity_wcm2 must be finite and >= 0, got {self.intensity_wcm2}")
-        for f in fields(self):
-            if f.name not in ("intensity_wcm2", "excitation_fraction"):
-                _positive(f.name, getattr(self, f.name))
-        if not 0 <= self.excitation_fraction <= 1:
-            raise ValueError(
-                f"excitation_fraction must be in [0, 1], got {self.excitation_fraction}")
-
-    def atoms(self) -> float:
-        if self.n_atoms is not None:
-            return self.n_atoms
-        return atoms_in_focal_volume(
-            self.pressure_bar, self.temperature_k,
-            self.spot_diameter_um * UM, self.path_length_mm * MM,
-        )
-
-
-def _bandwidth_hz(config: SchemeConfig, scheme: str) -> float:
-    if config.bandwidth_hz is None:
-        raise ValueError(f"scheme {scheme!r} requires bandwidth_hz")
-    return config.bandwidth_hz
 
 
 @dataclass(frozen=True)
@@ -217,6 +165,8 @@ def absorption_coefficient(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not intensity_au > 0:
+        raise ValueError(f"intensity must be > 0, got {intensity_au}")
     r = rate_per_atom_au / PER_S
     e_j = photon_energy_au / J
     i = intensity_au / W_CM2
@@ -240,7 +190,7 @@ def attenuation_fraction(
     return 1.0 - (1.0 + x) ** (-1.0 / (n - 1))
 
 
-def _narrowband_steps(config: SchemeConfig, species: SpeciesData):
+def _narrowband_steps(config: SimpleNamespace, species: SpeciesData):
     density = number_density(config.pressure_bar, config.temperature_k)
     intensity = config.intensity_wcm2 * W_CM2
     photon_energy = PUMP_PHOTON_ENERGY_EV * EV
@@ -266,7 +216,7 @@ def _narrowband_steps(config: SchemeConfig, species: SpeciesData):
     return pair_rate, steps
 
 
-def biphoton_rate_narrowband(config: SchemeConfig, species: SpeciesData) -> RateReport:
+def biphoton_rate_narrowband(config: SimpleNamespace, species: SpeciesData) -> RateReport:
     """Pairs per second: pump flux x absorbed fraction / 4 photons per excitation."""
     pair_rate, steps = _narrowband_steps(config, species)
     return RateReport(
@@ -277,7 +227,7 @@ def biphoton_rate_narrowband(config: SchemeConfig, species: SpeciesData) -> Rate
     )
 
 
-def four_photon_rate_broadband(config: SchemeConfig, species: SpeciesData) -> RateReport:
+def four_photon_rate_broadband(config: SimpleNamespace, species: SpeciesData) -> RateReport:
     """Incoherent broadband pumping: the resonant narrowband rate scaled by the
     fraction of pump spectral density overlapping the transition linewidth.
 
@@ -285,7 +235,7 @@ def four_photon_rate_broadband(config: SchemeConfig, species: SpeciesData) -> Ra
     spectrum of bandwidth delta; the transition linewidth is the natural
     width 1/lifetime_2s.
     """
-    delta_hz = _bandwidth_hz(config, "broadband-4photon")
+    delta_hz = config.bandwidth_hz
     pair_rate, steps = _narrowband_steps(config, species)
     width_hz = 1.0 / species.lifetime_2s.value
     peak_density = 1.0 / delta_hz
@@ -328,7 +278,7 @@ def steady_state_fraction(r1_au: float, tau_2p_au: float) -> float:
     return 0.5 * (1.0 - 1.0 / (1.0 + 2.0 * x))
 
 
-def biphoton_rate_sequential(config: SchemeConfig, species: SpeciesData) -> RateReport:
+def biphoton_rate_sequential(config: SimpleNamespace, species: SpeciesData) -> RateReport:
     """Lamp (1s^2 -> 1s2p) plus 2059 nm laser (1s2p -> 1s2s) budget.
 
     The generation rate is the smaller of the excited-state inventory
@@ -342,7 +292,11 @@ def biphoton_rate_sequential(config: SchemeConfig, species: SpeciesData) -> Rate
     r2 = one_photon_rate(species.f_2p2s, LASER_INTENSITY_WCM2 * W_CM2,
                          LASER_PHOTON_ENERGY_EV * EV, tau_au)
     frac = steady_state_fraction(r1, tau_au)
-    atoms = config.atoms()
+    atoms = config.n_atoms
+    if atoms is None:
+        atoms = atoms_in_focal_volume(config.pressure_bar, config.temperature_k,
+                                      config.spot_diameter_um * UM,
+                                      config.path_length_mm * MM)
     inventory = frac * atoms
     lamp_supply = photon_flux(lamp_intensity, lamp_energy,
                               config.spot_diameter_um * UM)
@@ -406,14 +360,14 @@ class ScrapResult:
     exponent_other_window: float
 
 
-def scrap_transfer_probability(config: SchemeConfig, species: SpeciesData) -> ScrapResult:
+def scrap_transfer_probability(config: SimpleNamespace, species: SpeciesData) -> ScrapResult:
     """Population-transfer probability P = 1 - exp(-integral Gamma dt).
 
     The effective Rabi frequency squared is W^2 = W_eg^2 + (delta/2)^2 where
     W_eg is the four-photon Rabi frequency expressed in the budget's
     2*pi-per-a.u.-time convention.  Both integration windows are reported.
     """
-    delta_hz = _bandwidth_hz(config, "scrap")
+    delta_hz = config.bandwidth_hz
     field_au = intensity_to_field(config.intensity_wcm2 * W_CM2)
     omega_eg_hz = 2.0 * math.pi * four_photon_rabi(species, field_au) / AU_TIME_S
     omega_hz = math.sqrt(omega_eg_hz**2 + (delta_hz / 2.0) ** 2)
@@ -428,10 +382,10 @@ def scrap_transfer_probability(config: SchemeConfig, species: SpeciesData) -> Sc
     )
 
 
-def scrap_biphoton_rate(config: SchemeConfig, species: SpeciesData) -> RateReport:
+def scrap_biphoton_rate(config: SimpleNamespace, species: SpeciesData) -> RateReport:
     """Excited fraction x focal-volume atoms x pulse repetition rate."""
     res = scrap_transfer_probability(config, species)
-    atoms = config.atoms()
+    atoms = config.n_atoms
     per_pulse = config.excitation_fraction * atoms
     rate = per_pulse * config.repetition_rate_hz
     steps = {
@@ -456,7 +410,7 @@ def scrap_biphoton_rate(config: SchemeConfig, species: SpeciesData) -> RateRepor
     )
 
 
-def etpa_ion_rate(config: SchemeConfig) -> RateReport:
+def etpa_ion_rate(config: SimpleNamespace) -> RateReport:
     """ETPA detection budget: sigma_e = sigma2/(A_e T_e), rate per molecule
     sigma_e x (photon rate / A_e), ions/s = per-molecule rate x molecules."""
     sigma_e = SIGMA2_CM4S / (ENTANGLEMENT_AREA_CM2 * ENTANGLEMENT_TIME_S)
@@ -480,32 +434,55 @@ def etpa_ion_rate(config: SchemeConfig) -> RateReport:
 @dataclass(frozen=True)
 class Scheme:
     """One excitation scheme: its ``(config, species) -> RateReport`` runner,
-    the ``SchemeConfig`` fields the runner reads (the override keys a
-    scenario may set on it), and scenario defaults for some of them."""
+    and ``defaults``, which maps each key the runner reads (the override keys
+    a scenario may set on it) to its value in the reference scenario."""
 
-    run: Callable[[SchemeConfig, SpeciesData], RateReport]
-    keys: tuple[str, ...]
-    defaults: dict[str, float] = field(default_factory=dict)
+    run: Callable[[SimpleNamespace, SpeciesData], RateReport]
+    defaults: dict[str, float | None]
+
+    def config(self, /, **overrides) -> SimpleNamespace:
+        """The runner's inputs: ``defaults`` updated by ``overrides``.
+
+        Raises ``ValueError`` on a key the runner does not read, and on a
+        value that is not finite and positive (``excitation_fraction``: not
+        in [0, 1]); ``None`` is accepted only where the default is ``None``.
+        """
+        unknown = set(overrides) - set(self.defaults)
+        if unknown:
+            raise ValueError(f"unknown key(s) {sorted(unknown)}; "
+                             f"allowed: {sorted(self.defaults)}")
+        values = {**self.defaults, **overrides}
+        for key, value in values.items():
+            if key == "excitation_fraction":
+                if not 0 <= value <= 1:
+                    raise ValueError(f"{key} must be in [0, 1], got {value}")
+            elif value is not None or self.defaults[key] is not None:
+                _positive(key, value)
+        return SimpleNamespace(**values)
 
 
-_PUMP_KEYS = ("intensity_wcm2", "spot_diameter_um", "path_length_mm",
-              "pressure_bar", "temperature_k", "lineshape_factor_au")
+# Scheme inputs are plain numbers in the unit their key names; the defaults
+# are the reference scenario: 100 um spot, 1 mm path, 1 bar, 293 K, pump at
+# 1e14 W/cm^2.  The printed inputs that no scenario varies are the module
+# constants above.
+_GAS_CELL = {"spot_diameter_um": 100.0, "path_length_mm": 1.0,
+             "pressure_bar": 1.0, "temperature_k": 293.0}
+_PUMP = {"intensity_wcm2": 1e14, **_GAS_CELL, "lineshape_factor_au": 1.0}
 
 # scheme id -> Scheme; the only place that knows a scheme's inputs
 SCHEMES = {
-    "narrowband-4photon": Scheme(biphoton_rate_narrowband, _PUMP_KEYS),
+    "narrowband-4photon": Scheme(biphoton_rate_narrowband, _PUMP),
     "broadband-4photon": Scheme(four_photon_rate_broadband,
-                                _PUMP_KEYS + ("bandwidth_hz",),
-                                {"bandwidth_hz": 5e12}),
+                                {**_PUMP, "bandwidth_hz": 5e12}),
+    # n_atoms None: the focal-volume count of the gas cell
     "sequential": Scheme(biphoton_rate_sequential,
-                         ("tau_2p_ns", "spot_diameter_um", "path_length_mm",
-                          "pressure_bar", "temperature_k", "n_atoms")),
+                         {"tau_2p_ns": 2.05, **_GAS_CELL, "n_atoms": None}),
     "scrap": Scheme(scrap_biphoton_rate,
-                    ("intensity_wcm2", "bandwidth_hz", "pulse_duration_fs",
-                     "repetition_rate_hz", "excitation_fraction", "n_atoms"),
-                    {"bandwidth_hz": 8.8e12, "n_atoms": 1e13}),
+                    {"intensity_wcm2": 1e14, "bandwidth_hz": 8.8e12,
+                     "pulse_duration_fs": 50.0, "repetition_rate_hz": 1e5,
+                     "excitation_fraction": 0.01, "n_atoms": 1e13}),
     "etpa": Scheme(lambda config, species: etpa_ion_rate(config),
-                   ("photon_rate_hz", "molecules")),
+                   {"photon_rate_hz": 1e12, "molecules": 1e12}),
 }
 
 

@@ -166,14 +166,28 @@ class BiphotonSpectrum:
         return self.omega_au * HARTREE_EV
 
 
+# The largest grids accepted, so memory stays bounded: the eigen-solve of an
+# 8192-node rule peaks near 1 GB RSS, and 2**20 time points near 0.5 GB.
+_MAX_N_POINTS = 8192
+_MAX_N_T = 2**20
+
+
+def _check_n_points(n_points: int, name: str = "n_points") -> None:
+    """Raise ``ValueError`` unless ``spectral_amplitude`` accepts ``n_points``
+    nodes; the message names ``name``.  Needs no numpy."""
+    if n_points < 2:
+        raise ValueError(f"{name} must be >= 2, got {n_points}")
+    if n_points > _MAX_N_POINTS:
+        raise ValueError(f"{name} must be <= {_MAX_N_POINTS}, got {n_points}")
+
+
 def spectral_amplitude(
     provider: FlatChain | PoleChain, n_points: int = 2048
 ) -> BiphotonSpectrum:
     """Sample the amplitude-level spectrum on [0, D_eg] at the nodes of an
     ``n_points``-node Gauss-Legendre rule; the weights are stored so
     downstream integrals reuse them."""
-    if n_points < 2:
-        raise ValueError(f"n_points must be >= 2, got {n_points}")
+    _check_n_points(n_points)
     delta = provider.delta_eg_au
     omega, weights = quadrature.gauss_legendre(n_points, delta)
     for p in provider.poles():
@@ -213,6 +227,8 @@ def _check_time_grid(t_max_au: float, n_t: int, path: str = "") -> None:
     if n_t < 2:
         raise ValueError(f"{path}n_t must be >= 2, got {n_t}: the time grid needs "
                          "points on both sides of t = 0")
+    if n_t > _MAX_N_T:
+        raise ValueError(f"{path}n_t must be <= {_MAX_N_T}, got {n_t}")
 
 
 def correlation_function(

@@ -31,7 +31,7 @@ from biphoton.cli import EXIT_ACCEPTANCE, main
 from biphoton.registry import species
 from biphoton.reporting import bundled_scenario_path, run_scenario
 from biphoton.schemes import (
-    SchemeConfig,
+    SCHEMES,
     absorption_coefficient,
     attenuation_fraction,
     biphoton_rate_sequential,
@@ -190,13 +190,13 @@ def test_criterion_5_exact_formula_recomputations():
     within("alpha4", 3.4e-46, alpha4)
     within("absorption fraction", 3.4e-5,
            attenuation_fraction(1e14 * W_CM2, alpha4, 1.0 * MM, 4))
-    seq = biphoton_rate_sequential(SchemeConfig(), HE)
+    seq = biphoton_rate_sequential(SCHEMES["sequential"].config(), HE)
     within("steady-state fraction", 0.47,
            seq.steps["steady_state_fraction"].value)
     # The printed cross-section contradicts its own formula, so sigma_e is
     # checked against the formula evaluated on the printed inputs, and its
     # ratio to the printed 1e-29 against the documented factor of 100.
-    sigma_e = etpa_ion_rate(SchemeConfig()).steps["sigma_e"].value
+    sigma_e = etpa_ion_rate(SCHEMES["etpa"].config()).steps["sigma_e"].value
     within("sigma_e vs sigma2/(A_e*T_e) of the printed inputs",
            SIGMA_E_FROM_PRINTED_INPUTS, sigma_e, what="formula")
     within("sigma_e / printed 1e-29 (documented factor)", 100.0,
@@ -223,14 +223,14 @@ def test_criterion_6_order_of_magnitude_budgets():
     oom("narrowband rate", 1e22, narrow, factor=10.0)
     width = 1.0 / HE.lifetime_2s.value
     oom("broadband rate", 1e11, narrow * width / 5e12, factor=10.0)
-    seq = biphoton_rate_sequential(SchemeConfig(), HE)
+    seq = biphoton_rate_sequential(SCHEMES["sequential"].config(), HE)
     oom("sequential rate", 3.6e13, seq.final_rate.value)
-    cfg_s = SchemeConfig(bandwidth_hz=8.8e12, n_atoms=1e13)
+    cfg_s = SCHEMES["scrap"].config()
     oom("SCRAP rate", 1e16, scrap_biphoton_rate(cfg_s, HE).final_rate.value)
     res = scrap_transfer_probability(cfg_s, HE)
     gate.check(max(res.probability, res.probability_other_window) > 0.99,
                "SCRAP transfer probability <= 0.99")
-    etpa = etpa_ion_rate(SchemeConfig()).steps
+    etpa = etpa_ion_rate(SCHEMES["etpa"].config()).steps
     per_mol = 1e-29 * etpa["photon_flux_density"].value   # from the quoted sigma_e
     oom("ETPA per molecule", 1e-9, per_mol)
     oom("ETPA ions", 1000.0, per_mol * etpa["molecules"].value)

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -14,6 +13,9 @@ from biphoton import schemes as sch
 from biphoton import spectrum as spc
 from biphoton.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from biphoton.reporting import bundled_scenario_path
+
+# every scenario override key, over all schemes
+KEYS = sorted(set().union(*(entry.defaults for entry in sch.SCHEMES.values())))
 
 
 def run(argv, capsys):
@@ -95,13 +97,19 @@ class TestThetaCurve:
         assert "aspect ratio must be >= 1, got 0.9" in err
         assert not out.exists()
 
-    def test_zero_points_is_config_error(self, tmp_path, capsys):
+    def test_zero_points_is_config_error(self, tmp_path, capsys, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            pytest.fail("a quadrature ran before the point count was checked")
+
+        monkeypatch.setattr(cavity, "theta_factor_quadrature", no_quadrature)
         out = tmp_path / "curve.csv"
-        code, _, err = run(["theta-curve", "--points", "0", "--out", str(out)],
-                           capsys)
-        assert code == EXIT_CONFIG
-        assert "--points must be >= 1, got 0" in err
-        assert not out.exists()
+        for points, message in [("0", "--points must be >= 1, got 0"),
+                                ("10001", "--points must be <= 10000, got 10001")]:
+            code, _, err = run(["theta-curve", "--points", points, "--out", str(out)],
+                               capsys)
+            assert code == EXIT_CONFIG
+            assert message in err
+            assert not out.exists()
 
 
 class TestSpectrumAndCorrelation:
@@ -119,21 +127,26 @@ class TestSpectrumAndCorrelation:
         assert "correlation time" in stdout
         assert out.read_text().splitlines()[0] == "t_au,t_s,re,im,abs"
 
+    # rule_builds fails a rule above 2048 nodes before it is built, so an
+    # unchecked 8193 cannot allocate
     @pytest.mark.parametrize("command", ["spectrum", "correlation"])
-    @pytest.mark.parametrize("n_omega", ["0", "-3", "1"])
+    @pytest.mark.parametrize("n_omega", ["0", "-3", "1", "8193"])
     def test_too_few_frequency_points_names_n_points(self, command, n_omega,
-                                                     tmp_path, capsys):
+                                                     tmp_path, capsys, rule_builds):
         code, _, err = run([command, "--n-omega", n_omega,
                             "--out", str(tmp_path / "out.csv")], capsys)
         assert code == EXIT_CONFIG
-        assert f"n_points must be >= 2, got {n_omega}" in err
+        bound = ">= 2" if int(n_omega) < 2 else "<= 8192"
+        assert f"n_points must be {bound}, got {n_omega}" in err
+        assert rule_builds == Counter()
 
-    @pytest.mark.parametrize("n_t", ["-1", "0", "1"])
+    @pytest.mark.parametrize("n_t", ["-1", "0", "1", "1048577"])
     def test_too_few_time_points_names_n_t(self, n_t, tmp_path, capsys):
         code, _, err = run(["correlation", "--n-omega", "64", "--n-t", n_t,
                             "--out", str(tmp_path / "c.csv")], capsys)
         assert code == EXIT_CONFIG
-        assert "n_t must be >= 2" in err
+        bound = ">= 2" if int(n_t) < 2 else "<= 1048576"
+        assert f"n_t must be {bound}" in err
 
     @pytest.mark.parametrize("option", [["--n-t", "1"], ["--tmax-au", "nan"]],
                              ids=["n_t", "t_max_au"])
@@ -201,6 +214,9 @@ class TestRates:
         ("narrowband-4photon", "path_length_mm", 0),
         ("sequential", "tau_2p_ns", math.nan),
         ("scrap", "pulse_duration_fs", -50),
+        ("narrowband-4photon", "intensity_wcm2", 0),
+        ("broadband-4photon", "intensity_wcm2", 0),
+        ("scrap", "intensity_wcm2", 0),
     ])
     def test_bad_override_is_config_error(self, scheme, key, value, tmp_path,
                                           capsys):
@@ -208,9 +224,33 @@ class TestRates:
         scenario.write_text(json.dumps({"schemes": {scheme: {key: value}}}))
         code, out, err = run(["rates", scheme, "--config", str(scenario)], capsys)
         assert code == EXIT_CONFIG
-        assert "configuration error" in err
-        assert key in err
+        assert f"configuration error: $.schemes.{scheme}: {key} must be" in err
         assert out == ""
+
+    @pytest.mark.parametrize("scheme", list(sch.SCHEMES))
+    def test_bad_value_in_any_scheme_is_config_error(self, scheme, tmp_path, capsys):
+        # the scenario builds every scheme's inputs when it is parsed
+        scenario = tmp_path / "bad.json"
+        scenario.write_text('{"schemes": {"scrap": {"intensity_wcm2": NaN}}}')
+        code, out, err = run(["rates", scheme, "--config", str(scenario)], capsys)
+        assert code == EXIT_CONFIG
+        assert err == ("configuration error: $.schemes.scrap: intensity_wcm2 "
+                       "must be finite and positive, got nan\n")
+        assert out == ""
+
+    @pytest.mark.parametrize("scheme, code", [
+        ("narrowband-4photon", EXIT_CONFIG), ("broadband-4photon", EXIT_CONFIG),
+        ("sequential", EXIT_OK), ("scrap", EXIT_CONFIG), ("etpa", EXIT_OK)])
+    def test_he_like_species_needs_d4(self, scheme, code, tmp_path, capsys):
+        # He-like ions carry no four-photon matrix element D4
+        scenario = tmp_path / "he_like.json"
+        scenario.write_text(json.dumps({"species": "He-like(Z=5)"}))
+        got, out, err = run(["rates", scheme, "--config", str(scenario)], capsys)
+        assert got == code, err
+        if code == EXIT_CONFIG:
+            assert err == ("configuration error: He-like(Z=5): four-photon "
+                           "matrix element not available\n")
+            assert out == ""
 
     # finite overrides whose product overflows; json would print Infinity
     @pytest.mark.parametrize("scheme, overrides, step", [
@@ -230,8 +270,7 @@ class TestRates:
 
     @pytest.mark.parametrize(
         "scheme, key",
-        [(scheme, f.name) for scheme in sch.SCHEMES
-         for f in dataclasses.fields(sch.SchemeConfig)])
+        [(scheme, key) for scheme in sch.SCHEMES for key in KEYS])
     def test_scheme_reads_exactly_its_keys(self, scheme, key, tmp_path, capsys):
         """A key in the scheme's entry changes its report; any other key is
         a configuration error naming the scheme and the keys it takes."""
@@ -240,7 +279,7 @@ class TestRates:
         scenario.write_text(json.dumps({"schemes": {scheme: {key: 0.75}}}))
         plain.write_text("{}")
         code, out, err = run(["rates", scheme, "--config", str(scenario)], capsys)
-        allowed = sch.SCHEMES[scheme].keys
+        allowed = sch.SCHEMES[scheme].defaults
         if key in allowed:
             assert code == EXIT_OK, err
             assert out != run(["rates", scheme, "--config", str(plain)], capsys)[1]
@@ -397,7 +436,10 @@ class TestRun:
     ({"n_omega": 1}, "$.spectrum.n_omega must be >= 2, got 1"),
     ({"t_max_au": -40}, "$.spectrum.t_max_au must be finite and > 0, got -40.0"),
     ({"t_max_au": math.inf}, "$.spectrum.t_max_au must be finite and > 0, got inf"),
-], ids=["n_t", "n_omega", "negative-t_max", "infinite-t_max"])
+    ({"n_t": 2**20 + 1}, "$.spectrum.n_t must be <= 1048576, got 1048577"),
+    ({"n_omega": 8193}, "$.spectrum.n_omega must be <= 8192, got 8193"),
+], ids=["n_t", "n_omega", "negative-t_max", "infinite-t_max", "n_t-over-cap",
+        "n_omega-over-cap"])
 def test_bad_spectrum_setting_fails_before_any_rule(command, spectrum, message,
                                                     tmp_path, capsys, rule_builds):
     scenario = tmp_path / "bad.json"
@@ -428,7 +470,9 @@ def test_config_paths_do_not_import_numpy(tmp_path):
     bad = {"unknown-key": {"bogus": 1}, "n_t": {"spectrum": {"n_t": 1}},
            "n_omega": {"spectrum": {"n_omega": 1}},
            "t_max_au": {"spectrum": {"t_max_au": -40}},
-           "nan-t_max_au": {"spectrum": {"t_max_au": math.nan}}}
+           "nan-t_max_au": {"spectrum": {"t_max_au": math.nan}},
+           "n_omega-over-cap": {"spectrum": {"n_omega": 8193}},
+           "scheme-value": {"schemes": {"scrap": {"intensity_wcm2": 0}}}}
     for name, scenario in bad.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(scenario))
     script = f"""
@@ -444,6 +488,9 @@ for scheme in {list(sch.SCHEMES)!r}:
 assert main(["theta", "--ratio", "0.5"]) == 2
 for name in {list(bad)!r}:
     assert main(["run", name + ".json", "--out-dir", "out"]) == 2, name
+for argv in (["spectrum", "--n-omega", "8193"], ["theta-curve", "--points", "10001"],
+             ["correlation", "--n-t", "1048577"]):
+    assert main(argv) == 2, argv
 print(json.dumps(sorted(m for m in sys.modules
                         if m.split(".")[0] == "numpy"
                         or m.startswith("concurrent.futures"))))

@@ -22,7 +22,7 @@ from biphoton.schemes import (
     one_photon_rate,
     r_trans,
     scrap_transfer_probability,
-    SchemeConfig,
+    SCHEMES,
     steady_state_fraction,
 )
 from biphoton.spectrum import (
@@ -209,7 +209,7 @@ def test_collection_fraction_bounds_and_monotone(f, scale):
 @given(st.floats(1e12, 1e15), st.floats(1.1, 4.0))
 def test_scrap_probability_monotone_in_intensity(i0, scale):
     def prob(i):
-        cfg = SchemeConfig(intensity_wcm2=i, bandwidth_hz=8.8e12, n_atoms=1e13)
+        cfg = SCHEMES["scrap"].config(intensity_wcm2=i)
         return scrap_transfer_probability(cfg, HE).probability
     assert prob(scale * i0) >= prob(i0) - 1e-15
 

@@ -112,33 +112,18 @@ class TestScenarioSchema:
         sc = Scenario.from_dict({"schemes": {
             "narrowband-4photon": {"intensity_wcm2": 2e14, "path_length_mm": 3.0},
         }})
-        cfg = sc.config("narrowband-4photon")
+        cfg = sc.configs["narrowband-4photon"]
         assert cfg.intensity_wcm2 == 2e14
         assert cfg.path_length_mm == 3.0
 
     @pytest.mark.parametrize(
-        "key", [f.name for f in dataclasses.fields(sch.SchemeConfig)])
+        "key", sorted(set().union(*(entry.defaults for entry in sch.SCHEMES.values()))))
     def test_every_override_key(self, key):
-        value = 0.75    # valid for every key, and no field's default
-        scheme = next(s for s, entry in sch.SCHEMES.items() if key in entry.keys)
-        cfg = Scenario.from_dict({"schemes": {scheme: {key: value}}}).config(scheme)
-        assert getattr(cfg, key) == value
-
-    def test_every_config_field_has_an_override_key(self):
-        # a SchemeConfig field no scheme reads is config nothing varies
-        keys = [entry.keys for entry in sch.SCHEMES.values()]
-        fields = {f.name for f in dataclasses.fields(sch.SchemeConfig)}
-        assert fields <= set().union(*keys)
-
-    def test_scheme_keys_cover_the_key_map(self):
-        # the SchemeConfig fields are the key map: a scheme key outside it
-        # sets nothing, so the keys of all schemes are exactly the fields
-        keys = [entry.keys for entry in sch.SCHEMES.values()]
-        fields = {f.name for f in dataclasses.fields(sch.SchemeConfig)}
-        assert set().union(*keys) == fields
-        for entry in sch.SCHEMES.values():
-            assert len(set(entry.keys)) == len(entry.keys)
-            assert set(entry.defaults) <= set(entry.keys)
+        value = 0.75    # valid for every key, and no key's default
+        for scheme, entry in sch.SCHEMES.items():
+            if key in entry.defaults:
+                sc = Scenario.from_dict({"schemes": {scheme: {key: value}}})
+                assert vars(sc.configs[scheme]) == {**entry.defaults, key: value}
 
 
 class TestReproTable:

@@ -3,12 +3,12 @@ import math
 import pytest
 
 from biphoton.registry import species
-from biphoton.reporting import Scenario, SchemaError
+from biphoton.reporting import Scenario, SchemaError, bundled_scenario_path
 from biphoton.schemes import (
     NonFiniteRateError,
     RateReport,
     ReportEntry,
-    SchemeConfig,
+    SCHEMES,
     absorption_coefficient,
     attenuation_fraction,
     biphoton_rate_narrowband,
@@ -72,11 +72,14 @@ class TestAttenuation:
             attenuation_fraction(I_REF, -1.0, 1.0 * MM, 4)
         with pytest.raises(ValueError):
             absorption_coefficient(0, 1.0 * PER_S, 1e19, I_REF, 5.155 * EV)
+        for intensity in (0.0, -I_REF):
+            with pytest.raises(ValueError, match="intensity must be > 0"):
+                absorption_coefficient(4, 1.0 * PER_S, 1e19, intensity, 5.155 * EV)
 
 
 class TestNarrowband:
     def test_budget(self):
-        rep = biphoton_rate_narrowband(SchemeConfig(), HE)
+        rep = biphoton_rate_narrowband(SCHEMES["narrowband-4photon"].config(), HE)
         assert rep.final_rate.value == pytest.approx(1.166e23, rel=0.01)
         assert rep.steps["pump_photon_flux"].value == pytest.approx(9.51e27, rel=0.01)
         assert rep.steps["absorbed_fraction"].value == pytest.approx(4.906e-5, rel=0.01)
@@ -88,7 +91,7 @@ class TestNarrowband:
 
 
 class TestBroadband:
-    CFG = SchemeConfig(bandwidth_hz=5e12)
+    CFG = SCHEMES["broadband-4photon"].config()
 
     def test_budget(self):
         rep = four_photon_rate_broadband(self.CFG, HE)
@@ -96,14 +99,10 @@ class TestBroadband:
         assert rep.steps["transition_linewidth"].value == pytest.approx(
             1.0 / 0.0197, rel=1e-6)
 
-    def test_bandwidth_required(self):
-        with pytest.raises(ValueError, match="bandwidth"):
-            four_photon_rate_broadband(SchemeConfig(), HE)
-
 
 class TestSequential:
     def test_budget(self):
-        rep = biphoton_rate_sequential(SchemeConfig(), HE)
+        rep = biphoton_rate_sequential(SCHEMES["sequential"].config(), HE)
         assert rep.steps["lamp_rate_r1"].value == pytest.approx(3.83e9, rel=0.01)
         assert rep.steps["steady_state_fraction"].value == pytest.approx(0.470, rel=0.01)
         assert rep.steps["laser_step_saturated"].value == 1.0
@@ -123,7 +122,7 @@ class TestSequential:
 
 
 class TestScrap:
-    CFG = SchemeConfig(bandwidth_hz=8.8e12, n_atoms=1e13)
+    CFG = SCHEMES["scrap"].config()
 
     def test_transfer_probability(self):
         res = scrap_transfer_probability(self.CFG, HE)
@@ -153,7 +152,7 @@ class TestScrap:
 
 class TestEtpa:
     def test_budget(self):
-        rep = etpa_ion_rate(SchemeConfig())
+        rep = etpa_ion_rate(SCHEMES["etpa"].config())
         assert rep.steps["sigma_e"].value == pytest.approx(1e-27, rel=1e-9)
         assert rep.steps["per_molecule_rate"].value == pytest.approx(1e-7, rel=1e-9)
         assert rep.final_rate.value == pytest.approx(1e5, rel=1e-9)
@@ -213,8 +212,7 @@ class TestReportSerialization:
         assert isinstance(info.value, ArithmeticError)
 
     def test_overflowing_runner_is_rejected(self):
-        config = SchemeConfig(bandwidth_hz=8.8e12,
-                              n_atoms=1e300, repetition_rate_hz=1e300)
+        config = SCHEMES["scrap"].config(n_atoms=1e300, repetition_rate_hz=1e300)
         with pytest.raises(NonFiniteRateError, match="scrap: step 'final_rate'"):
             scrap_biphoton_rate(config, HE)
 
@@ -224,5 +222,31 @@ class TestReportSerialization:
         with pytest.raises(SchemaError,
                            match=r"\$\.schemes\.etpa: unknown key.*'bandwidth_hz'"):
             Scenario.from_dict({"schemes": {"etpa": {"bandwidth_hz": 1e12}}})
-        with pytest.raises(ValueError):
-            SchemeConfig(excitation_fraction=1.5)
+        with pytest.raises(ValueError, match=r"excitation_fraction must be in \[0, 1\]"):
+            SCHEMES["scrap"].config(excitation_fraction=1.5)
+
+
+class TestSchemeInputs:
+    def test_defaults_are_the_bundled_scenario(self):
+        scenario = Scenario.from_file(bundled_scenario_path())
+        for scheme, entry in SCHEMES.items():
+            assert scenario.configs[scheme] == entry.config()
+
+    def test_unknown_key_names_the_allowed_keys(self):
+        # the narrowband runner reads no tau_2p_ns, so setting it is an error
+        allowed = sorted(SCHEMES["narrowband-4photon"].defaults)
+        with pytest.raises(ValueError) as info:
+            SCHEMES["narrowband-4photon"].config(tau_2p_ns=99.0)
+        assert str(info.value) == f"unknown key(s) ['tau_2p_ns']; allowed: {allowed}"
+
+    @pytest.mark.parametrize("scheme, key, value", [
+        ("narrowband-4photon", "intensity_wcm2", 0.0),
+        ("scrap", "intensity_wcm2", math.nan),
+        ("broadband-4photon", "bandwidth_hz", -5e12),
+        ("etpa", "molecules", math.inf),
+        ("scrap", "n_atoms", None),
+        ("scrap", "excitation_fraction", math.nan),
+    ])
+    def test_out_of_range_value_names_the_key(self, scheme, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            SCHEMES[scheme].config(**{key: value})
