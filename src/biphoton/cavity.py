@@ -47,6 +47,10 @@ __all__ = [
 THETA_SPHERE = 64.0 * math.pi**2 / 27.0
 THETA_PLATEAU = 8.0 * math.pi**2 / 9.0
 
+# The largest semi-major axis taken: the Theta kernels form (l + a)**3, about
+# (2a)**3, which overflows float64 from a = (1.8e308 / 8)**(1/3) = 2.8e102.
+_MAX_A = 1e100
+
 
 class ThetaConvergenceError(RuntimeError):
     def __init__(self, msg, estimate):
@@ -56,7 +60,8 @@ class ThetaConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class Spheroid:
-    """Prolate spheroid with semi-major axis a (along z) and semi-minor b."""
+    """Prolate spheroid with semi-major axis a (along z) and semi-minor b;
+    a is at most ``_MAX_A``."""
 
     a: float
     b: float
@@ -64,6 +69,10 @@ class Spheroid:
     def __post_init__(self):
         if not (math.isfinite(self.a) and self.a >= self.b > 0):
             raise ValueError(f"need finite a >= b > 0, got a={self.a}, b={self.b}")
+        if self.a > _MAX_A:
+            raise ValueError(f"aspect ratio {self.ratio:g} (a={self.a}, b={self.b}): "
+                             f"need a <= {_MAX_A:g}, as the Theta kernels overflow "
+                             "float64 from a = 2.8e102")
 
     @property
     def l(self) -> float:
@@ -320,17 +329,20 @@ def theta_factor_mc(
     return estimate, float(boot.std(ddof=1))
 
 
+def _unit_spheroid(ratio) -> Spheroid:
+    """The spheroid of aspect ratio ``ratio`` >= 1 with b = 1."""
+    if ratio < 1:
+        raise ValueError(f"aspect ratio must be >= 1, got {ratio}")
+    return Spheroid(float(ratio), 1.0)
+
+
 def theta_curve(ratios, rel_tol: float = 1e-7) -> list[dict]:
     """Theta over a list of aspect ratios a/b >= 1 (quadrature).
 
     Every ratio is checked before the first quadrature, and each level's
     Gauss-Legendre rule is built once and shared by all ratios of the call.
     """
-    spheroids = []
-    for r in ratios:
-        if r < 1:
-            raise ValueError(f"aspect ratio must be >= 1, got {r}")
-        spheroids.append(Spheroid(float(r), 1.0))
+    spheroids = [_unit_spheroid(r) for r in ratios]
     token = _CURVE_RULES.set({})
     try:
         return [{"ratio": s.a, "theta": theta_factor_quadrature(s, rel_tol=rel_tol),

@@ -20,17 +20,20 @@ from ._numpy import LazyNumpy
 from .cavity import (
     Spheroid,
     ThetaConvergenceError,
+    _unit_spheroid,
     theta_curve,
     theta_factor_mc,
     theta_factor_quadrature,
 )
 from .registry import SpeciesNotFound, species
 from .reporting import (
+    DEFAULTS,
     Scenario,
     SchemaError,
     _correlation_csv,
     _csv,
     _theta_curve_csv,
+    _write_all,
     bundled_scenario_path,
     repro_report,
     run_scenario,
@@ -49,12 +52,6 @@ def _resolve(name: str) -> Path:
     base = os.environ.get("BIPHOTON_OUTDIR")
     if base and not path.is_absolute():
         path = Path(base) / path
-    return path
-
-
-def _out_path(name: str) -> Path:
-    path = _resolve(name)
-    path.parent.mkdir(parents=True, exist_ok=True)
     return path
 
 
@@ -84,10 +81,11 @@ def _cmd_theta_curve(args) -> int:
         raise ValueError(f"--points must be >= 1, got {args.points}")
     if args.points > 10_000:
         raise ValueError(f"--points must be <= 10000, got {args.points}")
+    for end in (args.min, args.max):    # before np.geomspace sees them
+        _unit_spheroid(end)
     ratios = np.geomspace(args.min, args.max, args.points)
     rows = theta_curve(ratios, rel_tol=args.rel_tol)
-    path = _out_path(args.out)
-    path.write_text(_theta_curve_csv(rows))
+    [path] = _write_all({_resolve(args.out): _theta_curve_csv(rows)})
     print(f"wrote {path} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -95,10 +93,10 @@ def _cmd_theta_curve(args) -> int:
 def _cmd_spectrum(args) -> int:
     provider = _provider(args.species, args.provider)
     spec = spc.spectral_amplitude(provider, n_points=args.n_omega)
-    path = _out_path(args.out)
-    path.write_text(_csv(["omega_ev", "amplitude", "amplitude_sq"],
-                         zip(spec.omega_ev.tolist(), spec.amplitude.tolist(),
-                             (spec.amplitude**2).tolist())))
+    [path] = _write_all({_resolve(args.out): _csv(
+        ["omega_ev", "amplitude", "amplitude_sq"],
+        zip(spec.omega_ev.tolist(), spec.amplitude.tolist(),
+            (spec.amplitude**2).tolist()))})
     print(f"wrote {path} ({spec.omega_au.size} rows)")
     return EXIT_OK
 
@@ -108,9 +106,8 @@ def _cmd_correlation(args) -> int:
     provider = _provider(args.species, args.provider)
     spec = spc.spectral_amplitude(provider, n_points=args.n_omega)
     corr = spc.correlation_function(spec, t_max_au=args.tmax_au, n_t=args.n_t)
-    path = _out_path(args.out)
-    path.write_text(_correlation_csv(corr))
     ct = spc.correlation_time(corr)
+    [path] = _write_all({_resolve(args.out): _correlation_csv(corr)})
     print(f"wrote {path}; correlation time = {ct.width_au:.6g} a.u. "
           f"= {ct.width.value:.6g} s")
     return EXIT_OK
@@ -129,8 +126,7 @@ def _cmd_rates(args) -> int:
     report = sch.SCHEMES[args.scheme].run(scenario.configs[args.scheme], data)
     text = report.to_json()
     if args.out:
-        path = _out_path(args.out)
-        path.write_text(text + "\n")
+        [path] = _write_all({_resolve(args.out): text + "\n"})
         print(f"wrote {path}")
     else:
         print(text)
@@ -142,8 +138,7 @@ def _cmd_repro(args) -> int:
     table = repro_report(scenario)
     print(table.pretty())
     if args.out:
-        path = _out_path(args.out)
-        path.write_text(table.to_json() + "\n")
+        [path] = _write_all({_resolve(args.out): table.to_json() + "\n"})
         print(f"wrote {path}")
     if args.strict and not table.all_passed:
         return EXIT_ACCEPTANCE
@@ -151,8 +146,6 @@ def _cmd_repro(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    # _resolve, not _out_path: run_scenario creates the directory only once
-    # every artifact is computed
     written = run_scenario(args.scenario, out_dir=_resolve(args.out_dir or "."))
     for path in written:
         print(f"wrote {path}")
@@ -166,6 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "and excitation-scheme rate estimates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    species, spectrum = DEFAULTS["$"]["species"], DEFAULTS["$.spectrum"]
 
     p = sub.add_parser("theta", help="geometry factor for one aspect ratio")
     p.add_argument("--ratio", type=float, required=True)
@@ -181,29 +175,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min", type=float, default=1.0)
     p.add_argument("--max", type=float, default=148.0)
     p.add_argument("--points", type=int, default=25)
-    p.add_argument("--rel-tol", type=float, default=1e-7)
+    p.add_argument("--rel-tol", type=float, default=DEFAULTS["$.geometry"]["rel_tol"])
     p.add_argument("--out", default="curve.csv")
     p.set_defaults(func=_cmd_theta_curve)
 
     p = sub.add_parser("spectrum", help="pair spectral amplitude")
-    p.add_argument("--species", default="He")
-    p.add_argument("--provider", default="pole")
-    p.add_argument("--n-omega", type=int, default=2048)
+    p.add_argument("--species", default=species)
+    p.add_argument("--provider", default=spectrum["provider"])
+    p.add_argument("--n-omega", type=int, default=spectrum["n_omega"])
     p.add_argument("--out", default="spectrum.csv")
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("correlation", help="pair time-correlation function")
-    p.add_argument("--species", default="He")
-    p.add_argument("--provider", default="pole")
-    p.add_argument("--n-omega", type=int, default=2048)
-    p.add_argument("--tmax-au", type=float, default=40.0)
-    p.add_argument("--n-t", type=int, default=4096)
+    p.add_argument("--species", default=species)
+    p.add_argument("--provider", default=spectrum["provider"])
+    p.add_argument("--n-omega", type=int, default=spectrum["n_omega"])
+    p.add_argument("--tmax-au", type=float, default=spectrum["t_max_au"])
+    p.add_argument("--n-t", type=int, default=spectrum["n_t"])
     p.add_argument("--out", default="corr.csv")
     p.set_defaults(func=_cmd_correlation)
 
     p = sub.add_parser("lifetime", help="two-photon decay rate and lifetime")
-    p.add_argument("--species", default="He")
-    p.add_argument("--provider", default="pole")
+    p.add_argument("--species", default=species)
+    p.add_argument("--provider", default=spectrum["provider"])
     p.set_defaults(func=_cmd_lifetime)
 
     p = sub.add_parser("rates", help="excitation-scheme rate report")

@@ -23,6 +23,10 @@ from .units import HARTREE_EV, Quantity
 __all__ = ["SpeciesData", "SpeciesNotFound", "species", "default_registry"]
 
 _HE_LIKE = re.compile(r"^He-like\(Z=(\d+)\)$")
+# The largest He-like Z: the scaling is non-relativistic, and the relativistic
+# corrections it leaves out grow as (Z alpha)^2, which passes 5% above Z = 30
+# ((30/137.036)^2 = 0.048).
+_MAX_HE_LIKE_Z = 30
 
 
 class SpeciesNotFound(KeyError):
@@ -115,6 +119,10 @@ def species(name: str) -> SpeciesData:
         z = int(m.group(1))
         if z < 2:
             raise SpeciesNotFound(f"He-like requires Z >= 2, got {z}")
+        if z > _MAX_HE_LIKE_Z:
+            raise SpeciesNotFound(
+                f"He-like requires Z <= {_MAX_HE_LIKE_Z}, got {z}: the scaling is "
+                "non-relativistic, and (Z alpha)^2 passes 5% above that")
         return shipped["He"] if z == 2 else _he_like(z)
     raise SpeciesNotFound(
         f"unknown species {name!r}; available: {sorted(shipped) + ['He-like(Z=n)']}"

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, asdict
 from importlib import resources
 from pathlib import Path
@@ -65,40 +66,28 @@ class SchemaError(ValueError):
 # scenario schema
 
 
-def _check_keys(obj: dict, allowed: dict, path: str):
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{path}: expected an object, got {type(obj).__name__}")
-    unknown = set(obj) - set(allowed)
-    if unknown:
-        raise SchemaError(
-            f"{path}: unknown key(s) {sorted(unknown)}; allowed: {sorted(allowed)}"
-        )
-    for key, value in obj.items():
-        kind = allowed[key]
-        if kind in ("number", "int") and isinstance(value, bool):
-            raise SchemaError(f"{path}.{key}: expected {kind}, got bool")
-        if kind == "number" and not isinstance(value, (int, float)):
-            raise SchemaError(f"{path}.{key}: expected number, got {type(value).__name__}")
-        if kind == "int" and not isinstance(value, int):
-            raise SchemaError(f"{path}.{key}: expected integer, got {type(value).__name__}")
-        if kind == "str" and not isinstance(value, str):
-            raise SchemaError(f"{path}.{key}: expected string, got {type(value).__name__}")
-        if kind == "list-number":
-            if not isinstance(value, list) or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-            ):
-                raise SchemaError(f"{path}.{key}: expected a list of numbers")
+# scenario section (JSON path) -> its keys with their defaults; a value must
+# have the JSON type of its key's default (``schemes._checked``), and each
+# scheme's section is ``SCHEMES[id].defaults``
+DEFAULTS = {
+    "$": {"schema_version": 1, "name": "", "species": "He",
+          "geometry": {}, "spectrum": {}, "schemes": {}},
+    "$.geometry": {"ratios": [1, 1.5, 2, 3, 5, 8, 12, 20, 40, 80, 148],
+                   "rel_tol": 1e-7},
+    "$.spectrum": {"provider": "pole", "n_omega": 2048, "t_max_au": 40.0,
+                   "n_t": 4096},
+}
 
 
 @dataclass(frozen=True)
 class Scenario:
     """Validated scenario file: species, geometry sweep, spectrum settings,
     and each scheme's runner inputs (``Scheme.config`` with the file's
-    overrides)."""
+    overrides).  The fields take the file's key names."""
 
     species: str
     ratios: list[float]
-    geometry_rel_tol: float
+    rel_tol: float
     provider: str
     n_omega: int
     t_max_au: float
@@ -119,64 +108,43 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "Scenario":
-        _check_keys(raw, {
-            "schema_version": "int", "name": "str", "species": "str",
-            "geometry": "dict", "spectrum": "dict", "schemes": "dict",
-        }, "$")
-        if raw.get("schema_version", 1) != 1:
-            raise SchemaError(f"$.schema_version: unsupported version "
-                              f"{raw['schema_version']}")
-        geometry = raw.get("geometry", {})
-        _check_keys(geometry, {"ratios": "list-number", "rel_tol": "number"},
-                    "$.geometry")
-        spectrum = raw.get("spectrum", {})
-        _check_keys(spectrum, {"provider": "str", "n_omega": "int",
-                               "t_max_au": "number", "n_t": "int"}, "$.spectrum")
-        provider = spectrum.get("provider", "pole")
-        if provider not in spc.PROVIDERS:
-            raise SchemaError(f"$.spectrum.provider: must be "
-                              f"{' or '.join(map(repr, spc.PROVIDERS))}, "
-                              f"got {provider!r}")
-        schemes = raw.get("schemes", {})
-        if not isinstance(schemes, dict):
-            raise SchemaError("$.schemes: expected an object")
-        for scheme in schemes:
-            if scheme not in sch.SCHEMES:
-                raise SchemaError(f"$.schemes.{scheme}: unknown scheme; "
-                                  f"one of {tuple(sch.SCHEMES)}")
-        configs = {}
-        for scheme, entry in sch.SCHEMES.items():
-            overrides = schemes.get(scheme, {})
-            _check_keys(overrides, dict.fromkeys(entry.defaults, "number"),
-                        f"$.schemes.{scheme}")
-            try:
-                configs[scheme] = entry.config(**overrides)
-            except ValueError as exc:
-                raise SchemaError(f"$.schemes.{scheme}: {exc}") from None
-        ratios = [float(r) for r in geometry.get(
-            "ratios", [1, 1.5, 2, 3, 5, 8, 12, 20, 40, 80, 148])]
-        if any(r < 1 for r in ratios):
-            raise SchemaError("$.geometry.ratios: aspect ratios must be >= 1")
-        # the numeric layer rejects these too, but only once the theta curve
-        # and the frequency rule are built
-        n_omega = spectrum.get("n_omega", 2048)
-        n_t = spectrum.get("n_t", 4096)
-        t_max_au = float(spectrum.get("t_max_au", 40.0))
+        if not isinstance(raw, dict):
+            raise SchemaError(f"$: expected an object, got {type(raw).__name__}")
         try:
-            spc._check_n_points(n_omega, "$.spectrum.n_omega")
-            spc._check_time_grid(t_max_au, n_t, "$.spectrum.")
+            top = sch._checked(DEFAULTS["$"], raw, "$")
+            for scheme in top["schemes"]:
+                if scheme not in sch.SCHEMES:
+                    raise ValueError(f"$.schemes.{scheme}: unknown scheme; "
+                                     f"one of {tuple(sch.SCHEMES)}")
+            schemes = sch._checked(dict.fromkeys(sch.SCHEMES, {}), top["schemes"],
+                                   "$.schemes")
+            geometry = sch._checked(DEFAULTS["$.geometry"], top["geometry"], "$.geometry")
+            spectrum = sch._checked(DEFAULTS["$.spectrum"], top["spectrum"], "$.spectrum")
+            if top["schema_version"] != 1:
+                raise ValueError(f"$.schema_version: unsupported version "
+                                 f"{top['schema_version']}")
+            if spectrum["provider"] not in spc.PROVIDERS:
+                raise ValueError(f"$.spectrum.provider: must be "
+                                 f"{' or '.join(map(repr, spc.PROVIDERS))}, "
+                                 f"got {spectrum['provider']!r}")
+            geometry["ratios"] = [float(r) for r in geometry["ratios"]]
+            if any(r < 1 for r in geometry["ratios"]):
+                raise ValueError("$.geometry.ratios: aspect ratios must be >= 1")
+            geometry["rel_tol"] = float(geometry["rel_tol"])
+            spectrum["t_max_au"] = float(spectrum["t_max_au"])
+            # the numeric layer rejects these too, but only once the theta
+            # curve and the frequency rule are built
+            spc._check_n_points(spectrum["n_omega"], "$.spectrum.n_omega")
+            spc._check_time_grid(spectrum["t_max_au"], spectrum["n_t"], "$.spectrum.")
         except ValueError as exc:
             raise SchemaError(str(exc)) from None
-        return cls(
-            species=raw.get("species", "He"),
-            ratios=ratios,
-            geometry_rel_tol=float(geometry.get("rel_tol", 1e-7)),
-            provider=provider,
-            n_omega=n_omega,
-            t_max_au=t_max_au,
-            n_t=n_t,
-            configs=configs,
-        )
+        configs = {}
+        for scheme, entry in sch.SCHEMES.items():
+            try:
+                configs[scheme] = entry.config(**schemes[scheme])
+            except ValueError as exc:
+                raise SchemaError(f"$.schemes.{scheme}: {exc}") from None
+        return cls(species=top["species"], **geometry, **spectrum, configs=configs)
 
 
 def bundled_scenario_path() -> Path:
@@ -265,7 +233,7 @@ def _stages(scenario: Scenario, figure_ratios: list[float]) -> tuple[
                for scheme, entry in sch.SCHEMES.items()}
     curve = theta_curve(
         [*figure_ratios, *(r for r in (1.0, 148.0) if r not in figure_ratios)],
-        rel_tol=scenario.geometry_rel_tol)
+        rel_tol=scenario.rel_tol)
     theta = {row["ratio"]: row["theta"] for row in curve}
     spec, corr = _correlation(scenario, spc.provider_pole(he))
     table = _repro_table(scenario.configs, he, spec, corr, reports,
@@ -428,6 +396,26 @@ def _correlation_csv(corr: spc.CorrelationSeries) -> str:
                     corr.abs.tolist()))
 
 
+def _write_all(texts: dict[Path, str]) -> list[Path]:
+    """Write each text to its path, creating the parent directories, and
+    return the paths: all of them or none.  Every text first goes to a
+    temporary file beside its path; the paths are replaced only once every
+    text is written, and on an error the temporary files are removed."""
+    temps = {}
+    try:
+        for path, text in texts.items():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            temps[path] = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            temps[path].write_text(text)
+        for path, temp in temps.items():
+            os.replace(temp, path)
+    except BaseException:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
+        raise
+    return list(texts)
+
+
 def run_scenario(path, out_dir=None) -> list[Path]:
     """Execute a scenario file and write all artifacts; returns their paths.
 
@@ -435,8 +423,9 @@ def run_scenario(path, out_dir=None) -> list[Path]:
     (correlation function of the scenario's provider), one
     ``rates_<scheme>.json`` per scheme, and ``repro_table.json``.  The run
     has no random input, so the same scenario file gives the same bytes.
-    Every artifact is computed before ``out_dir`` is created or written, so
-    a run that fails leaves it as it was.
+    Every artifact is computed before ``out_dir`` is created or written, and
+    they are written all or none (``_write_all``), so a run that fails
+    leaves it as it was.
     """
     scenario = Scenario.from_file(path)
     out = Path(out_dir) if out_dir is not None else Path.cwd()
@@ -444,14 +433,10 @@ def run_scenario(path, out_dir=None) -> list[Path]:
     # the repro rows use the pole chain; fig2.csv shows the scenario's provider
     fig2 = corr if scenario.provider == "pole" else _correlation(
         scenario, spc.PROVIDERS[scenario.provider](species(scenario.species)))[1]
-    texts = {
-        "fig_s1.csv": _theta_curve_csv(curve),
-        "fig2.csv": _correlation_csv(fig2),
-        **{f"rates_{scheme.split('-')[0]}.json": report.to_json() + "\n"
+    return _write_all({
+        out / "fig_s1.csv": _theta_curve_csv(curve),
+        out / "fig2.csv": _correlation_csv(fig2),
+        **{out / f"rates_{scheme.split('-')[0]}.json": report.to_json() + "\n"
            for scheme, report in reports.items()},
-        "repro_table.json": table.to_json() + "\n",
-    }
-    out.mkdir(parents=True, exist_ok=True)
-    for name, text in texts.items():
-        (out / name).write_text(text)
-    return [out / name for name in texts]
+        out / "repro_table.json": table.to_json() + "\n",
+    })

@@ -431,6 +431,39 @@ def etpa_ion_rate(config: SimpleNamespace) -> RateReport:
     )
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# type of a default -> (what a value of its key must be, the test of the value)
+_JSON_TYPES = {
+    str: ("a string", lambda v: isinstance(v, str)),
+    dict: ("an object", lambda v: isinstance(v, dict)),
+    list: ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),
+    int: ("an integer", lambda v: _is_number(v) and isinstance(v, int)),
+    float: ("a number", _is_number),
+    type(None): ("a number or None", lambda v: v is None or _is_number(v)),
+}
+
+
+def _checked(defaults: dict, values: dict, path: str = "") -> dict:
+    """``defaults`` updated by ``values``, the one input rule of each section
+    of a scenario file and of ``Scheme.config``: a key of ``values`` must be
+    a key of ``defaults``, and its value of its default's JSON type (see
+    ``_JSON_TYPES``).  Raises ``ValueError``; the message starts with
+    ``path``, the section's JSON path, when one is given."""
+    unknown = set(values) - set(defaults)
+    if unknown:
+        raise ValueError(f"{path + ': ' if path else ''}unknown key(s) "
+                         f"{sorted(unknown)}; allowed: {sorted(defaults)}")
+    for key, value in values.items():
+        kind, fits = _JSON_TYPES[type(defaults[key])]
+        if not fits(value):
+            raise ValueError(f"{path + '.' if path else ''}{key} must be {kind}, "
+                             f"got {type(value).__name__}")
+    return {**defaults, **values}
+
+
 @dataclass(frozen=True)
 class Scheme:
     """One excitation scheme: its ``(config, species) -> RateReport`` runner,
@@ -443,20 +476,17 @@ class Scheme:
     def config(self, /, **overrides) -> SimpleNamespace:
         """The runner's inputs: ``defaults`` updated by ``overrides``.
 
-        Raises ``ValueError`` on a key the runner does not read, and on a
-        value that is not finite and positive (``excitation_fraction``: not
-        in [0, 1]); ``None`` is accepted only where the default is ``None``.
+        Raises ``ValueError`` where ``_checked`` does (an unknown key, or a
+        value that is no number, such as a bool, a string or ``None``), and
+        on a number that is not finite and positive (``excitation_fraction``:
+        not in [0, 1]).  ``None`` is taken for the sequential ``n_atoms``.
         """
-        unknown = set(overrides) - set(self.defaults)
-        if unknown:
-            raise ValueError(f"unknown key(s) {sorted(unknown)}; "
-                             f"allowed: {sorted(self.defaults)}")
-        values = {**self.defaults, **overrides}
+        values = _checked(self.defaults, overrides)
         for key, value in values.items():
             if key == "excitation_fraction":
                 if not 0 <= value <= 1:
                     raise ValueError(f"{key} must be in [0, 1], got {value}")
-            elif value is not None or self.defaults[key] is not None:
+            elif value is not None:
                 _positive(key, value)
         return SimpleNamespace(**values)
 

@@ -1,8 +1,12 @@
+import argparse
+import copy
+import inspect
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -11,8 +15,8 @@ import pytest
 from biphoton import cavity
 from biphoton import schemes as sch
 from biphoton import spectrum as spc
-from biphoton.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
-from biphoton.reporting import bundled_scenario_path
+from biphoton.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, build_parser, main
+from biphoton.reporting import DEFAULTS, bundled_scenario_path
 
 # every scenario override key, over all schemes
 KEYS = sorted(set().union(*(entry.defaults for entry in sch.SCHEMES.values())))
@@ -46,6 +50,17 @@ class TestTheta:
         code, _, err = run(["theta", "--ratio", "inf"], capsys)
         assert code == EXIT_CONFIG
         assert "configuration error: need finite a >= b > 0, got a=inf" in err
+
+    # the Theta kernels overflow float64 from a = 2.8e102
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("ratio", ["1.01e100", "1e150", "1e308"])
+    def test_ratio_past_the_overflow_bound_is_config_error(self, ratio, capsys):
+        code, out, err = run(["theta", "--ratio", ratio], capsys)
+        assert code == EXIT_CONFIG
+        assert err.startswith(f"configuration error: aspect ratio {float(ratio):g} ")
+        assert "need a <= 1e+100" in err
+        assert "Warning" not in err
+        assert out == ""
 
     def test_unreachable_tolerance_is_numerical_error(self, capsys, rule_builds):
         code, out, err = run(["theta", "--ratio", "148", "--rel-tol", "1e-15"], capsys)
@@ -95,6 +110,21 @@ class TestThetaCurve:
                             "--out", str(out)], capsys)
         assert code == EXIT_CONFIG
         assert "aspect ratio must be >= 1, got 0.9" in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("end, message", [
+        (["--max", "inf"], "need finite a >= b > 0, got a=inf"),
+        (["--min", "nan"], "need finite a >= b > 0, got a=nan"),
+        (["--max", "1e308"], "aspect ratio 1e+308 "),
+    ], ids=["inf-max", "nan-min", "max-past-bound"])
+    def test_bad_end_fails_before_geomspace(self, end, message, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        code, _, err = run(["theta-curve", *end, "--points", "2", "--out", str(out)],
+                           capsys)
+        assert code == EXIT_CONFIG
+        assert message in err
+        assert "Warning" not in err
         assert not out.exists()
 
     def test_zero_points_is_config_error(self, tmp_path, capsys, monkeypatch):
@@ -171,6 +201,12 @@ class TestSpectrumAndCorrelation:
         code, _, err = run(["lifetime", "--species", "Unobtainium"], capsys)
         assert code == EXIT_CONFIG
         assert "configuration error: unknown species 'Unobtainium'" in err
+
+    def test_he_like_z_past_the_cap_is_config_error(self, capsys):
+        code, out, err = run(["lifetime", "--species", "He-like(Z=1000)"], capsys)
+        assert code == EXIT_CONFIG
+        assert err.startswith("configuration error: He-like requires Z <= 30, got 1000")
+        assert out == ""
 
     def test_unknown_provider_is_config_error(self, capsys):
         code, _, err = run(["lifetime", "--provider", "oracle"], capsys)
@@ -380,6 +416,19 @@ class TestRun:
         assert code == EXIT_CONFIG
         assert "need finite a >= b > 0, got a=inf" in err
 
+    @pytest.mark.filterwarnings("error")
+    def test_ratio_past_the_overflow_bound_is_config_error(self, tmp_path, capsys):
+        scenario = tmp_path / "huge.json"
+        scenario.write_text('{"geometry": {"ratios": [1e308]}}')
+        out_dir = tmp_path / "out"
+        code, out, err = run(["run", str(scenario), "--out-dir", str(out_dir)],
+                             capsys)
+        assert code == EXIT_CONFIG
+        assert "configuration error: aspect ratio 1e+308 " in err
+        assert "Warning" not in err
+        assert "wrote" not in out
+        assert not out_dir.exists()
+
     def test_infinite_rel_tol_is_config_error(self, tmp_path, capsys):
         # json reads Infinity as a float, which passes the "number" schema check
         scenario = tmp_path / "inf.json"
@@ -536,3 +585,159 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
     out = _fresh_python(script, tmp_path)
     assert json.loads(out.splitlines()[-1]) == []
+
+
+@pytest.mark.parametrize("argv, before", [
+    (["run", "small.json", "--out-dir", "out"],
+     {"out/fig_s1.csv": "earlier\n", "out/fig2.csv": None}),
+    (["correlation", "--n-omega", "64", "--out", "out/corr.csv"],
+     {"out/corr.csv": "earlier\n"}),
+], ids=["run", "correlation"])
+def test_cut_write_leaves_every_target_as_it_was(argv, before, tmp_path):
+    """In a child whose files may not grow past 4096 bytes, the first large
+    artifact cannot be written: the command exits 2, and each target holds
+    what it held before (or is still absent), with no temporary file left."""
+    (tmp_path / "small.json").write_text(json.dumps(
+        {"geometry": {"ratios": [1.0]}, "spectrum": {"n_omega": 64}}))
+    (tmp_path / "out").mkdir()
+    for name, text in before.items():
+        if text is not None:
+            (tmp_path / name).write_text(text)
+    script = """
+import resource, signal, sys
+resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+from biphoton.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    env.pop("BIPHOTON_OUTDIR", None)
+    proc = subprocess.run([sys.executable, "-c", script, *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "File too large" in proc.stderr
+    assert {name: (tmp_path / name).read_text() if (tmp_path / name).exists() else None
+            for name in before} == before
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(
+        Path(name).name for name, text in before.items() if text is not None)
+
+
+def _commands() -> dict[str, argparse.ArgumentParser]:
+    """Subcommand name -> its parser."""
+    return next(action for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
+def test_flag_defaults_are_the_scenario_defaults():
+    """Each setting has one default: the CLI flag's, the scenario table's
+    (``reporting.DEFAULTS``) and the numeric function's all agree."""
+    commands = _commands()
+
+    def flags(dest, *names):
+        return {commands[name].get_default(dest) for name in names}
+
+    def param(function, name):
+        return inspect.signature(function).parameters[name].default
+
+    spectrum = DEFAULTS["$.spectrum"]
+    one_species = ("spectrum", "correlation", "lifetime")
+    assert flags("species", *one_species) == {DEFAULTS["$"]["species"]}
+    assert flags("provider", *one_species) == {spectrum["provider"]}
+    assert flags("n_omega", "spectrum", "correlation") | {
+        param(spc.spectral_amplitude, "n_points"),
+        param(spc.two_photon_decay_rate, "n_points")} == {spectrum["n_omega"]}
+    assert flags("tmax_au", "correlation") | {
+        param(spc.correlation_function, "t_max_au")} == {spectrum["t_max_au"]}
+    assert flags("n_t", "correlation") | {
+        param(spc.correlation_function, "n_t")} == {spectrum["n_t"]}
+    assert flags("rel_tol", "theta-curve") | {
+        param(cavity.theta_curve, "rel_tol")} == {DEFAULTS["$.geometry"]["rel_tol"]}
+
+
+# Every numeric input is tried at these values and at its cap + 1 where it has
+# a cap; None stands for JSON null and is tried on scenario keys only.
+EDGE_VALUES = [0, -1, math.nan, math.inf, -math.inf, 1e308, "x", None]
+CAPS = {"--n-omega": spc._MAX_N_POINTS, "n_omega": spc._MAX_N_POINTS,
+        "--n-t": spc._MAX_N_T, "n_t": spc._MAX_N_T, "--points": 10_000}
+# arguments that keep a command cheap whatever the value under test
+BASE_ARGS = {"theta": ["--ratio", "2"], "theta-curve": ["--points", "2"],
+             "spectrum": ["--n-omega", "64"], "correlation": ["--n-omega", "64"]}
+FLAG_ARGS = {("theta", "--seed"): ["--mc", "1000"]}    # the seed is read by --mc
+# one aspect ratio and a 64-node grid that still resolves t_max = 40 a.u.
+SMALL_SCENARIO = {"geometry": {"ratios": [1.0]}, "spectrum": {"n_omega": 64}}
+
+
+# (command, flag, whether the command writes --out) for every int or float flag
+NUMERIC_FLAGS = [(name, action.option_strings[0], "--out" in command._option_string_actions)
+                 for name, command in _commands().items() for action in command._actions
+                 if action.type in (int, float)]
+# (section path, key, default) for every key of a scenario file
+SCENARIO_KEYS = [(path, key, default) for path, table in DEFAULTS.items()
+                 for key, default in table.items()] + [
+    (f"$.schemes.{scheme}", key, default) for scheme, entry in sch.SCHEMES.items()
+    for key, default in entry.defaults.items()]
+
+
+def _documented_exit(argv, capsys) -> int:
+    """Exit code of ``argv``, which must be documented and leave no traceback
+    or warning on stderr; a Python warning fails the case."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse rejects the value
+            code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4), (argv, code, err)
+    assert "Traceback" not in err and "Warning" not in err, (argv, err)
+    return code
+
+
+def _files(directory: Path) -> list[str]:
+    return sorted(p.name for p in directory.rglob("*") if p.is_file())
+
+
+@pytest.mark.parametrize("command, flag, writes", NUMERIC_FLAGS,
+                         ids=[f"{c} {f}" for c, f, _ in NUMERIC_FLAGS])
+def test_every_numeric_flag_ends_in_a_documented_exit(command, flag, writes,
+                                                      tmp_path, capsys):
+    values = [v for v in EDGE_VALUES if v is not None]
+    for i, value in enumerate(values + ([CAPS[flag] + 1] if flag in CAPS else [])):
+        out_dir = tmp_path / str(i)
+        out_dir.mkdir()
+        argv = [command, *BASE_ARGS.get(command, []),
+                *FLAG_ARGS.get((command, flag), []), f"{flag}={value}"]
+        if writes:
+            argv += ["--out", str(out_dir / "out.csv")]
+        code = _documented_exit(argv, capsys)
+        assert _files(out_dir) == (["out.csv"] if writes and code == 0 else []), argv
+
+
+@pytest.mark.parametrize("path, key, default", SCENARIO_KEYS,
+                         ids=[f"{p}.{k}" for p, k, _ in SCENARIO_KEYS])
+def test_every_scenario_key_ends_in_a_documented_exit(path, key, default,
+                                                      tmp_path, capsys):
+    """Scheme keys run through ``rates <id>``, which loads no numpy, and the
+    other keys through ``run`` on an otherwise small scenario."""
+    for i, value in enumerate(EDGE_VALUES + ([CAPS[key] + 1] if key in CAPS else [])):
+        raw = copy.deepcopy(SMALL_SCENARIO)
+        section = raw if path == "$" else raw.setdefault(path.split(".")[1], {})
+        if path.startswith("$.schemes."):
+            section = section.setdefault(path.split(".")[2], {})
+        section[key] = [value] if isinstance(default, list) else value
+        scenario = tmp_path / f"{i}.json"
+        scenario.write_text(json.dumps(raw))
+        out_dir = tmp_path / str(i)
+        if path.startswith("$.schemes."):
+            scheme = path.split(".")[2]
+            argv = ["rates", scheme, "--config", str(scenario),
+                    "--out", str(out_dir / "rates.json")]
+            expected = ["rates.json"]
+        else:
+            argv = ["run", str(scenario), "--out-dir", str(out_dir)]
+            expected = sorted(["fig_s1.csv", "fig2.csv", "repro_table.json",
+                               *(f"rates_{s.split('-')[0]}.json" for s in sch.SCHEMES)])
+        code = _documented_exit(argv, capsys)
+        files = _files(out_dir) if out_dir.exists() else []
+        assert files == (expected if code == 0 else []), (argv, code)

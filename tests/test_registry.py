@@ -63,6 +63,13 @@ class TestHeLike:
             species("He-like(Z=1)")
         assert str(err.value) == "He-like requires Z >= 2, got 1"
 
+    def test_z_above_the_non_relativistic_range(self):
+        assert species("He-like(Z=30)").z == 30
+        for z in (31, 1000):
+            with pytest.raises(SpeciesNotFound,
+                               match=rf"^He-like requires Z <= 30, got {z}: .*alpha"):
+                species(f"He-like(Z={z})")
+
     def test_unknown_lists_names(self):
         with pytest.raises(SpeciesNotFound) as err:
             species("Xe")

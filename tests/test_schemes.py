@@ -229,6 +229,8 @@ class TestReportSerialization:
 class TestSchemeInputs:
     def test_defaults_are_the_bundled_scenario(self):
         scenario = Scenario.from_file(bundled_scenario_path())
+        # every section's defaults, not only the schemes'
+        assert scenario == Scenario.from_dict({})
         for scheme, entry in SCHEMES.items():
             assert scenario.configs[scheme] == entry.config()
 
@@ -246,6 +248,9 @@ class TestSchemeInputs:
         ("etpa", "molecules", math.inf),
         ("scrap", "n_atoms", None),
         ("scrap", "excitation_fraction", math.nan),
+        # a bool or a string is no number, and fails the same check
+        ("etpa", "molecules", True),
+        ("etpa", "molecules", "x"),
     ])
     def test_out_of_range_value_names_the_key(self, scheme, key, value):
         with pytest.raises(ValueError, match=f"^{key} must be"):
