@@ -259,6 +259,11 @@ def _theta_cdf(s: Spheroid, n: int = 8192):
 
 
 _BATCHES = 32
+# The Monte-Carlo's bounds (see theta_factor_mc).  The inverse-CDF table's
+# bias grows about linearly in a/b: 1.8e-5 relative at 148, 1.2e-4 at 1e3 and
+# 1.2e-2 at 1e5 (low for the physical convention, high for the printed one).
+_MC_MAX_RATIO = 1e3
+_MC_MAX_SAMPLES = 10**9
 # Draws evaluated at once.  A slice's 1-D float64 work arrays are then 64 KB
 # each, and _pol_basis holds its e1, e2 and e2' as one (3, 3, 2**13) block of
 # 576 KB, above glibc's default 128 KB mmap threshold.  A slice's
@@ -283,9 +288,23 @@ def theta_factor_mc(
     worker holds does not grow with ``n_samples``.  Up to 32 * 2**13 =
     262,144 samples a batch is one slice; larger runs differ from an unsliced
     evaluation only in summation order.
+
+    Raises ``ValueError`` before any draw for a/b above 1e3, where the
+    table's bias (1.2e-4 relative there, 1.8e-5 at a/b = 148) passes the
+    error bar of a large run, and for ``n_samples`` above 1e9: a run at the
+    cap takes about 2 minutes on 2 vCPU, and its standard error (3e-5 at
+    a/b = 148) already meets the bias, so more samples cannot sharpen it.
     """
     if n_samples < 1000:
         raise ValueError("need n_samples >= 1000")
+    if n_samples > _MC_MAX_SAMPLES:
+        raise ValueError(f"need n_samples <= {_MC_MAX_SAMPLES:.0e}, got {n_samples}: "
+                         "a run at the cap takes about 2 minutes, and its error "
+                         "bar already meets the inverse-CDF table's bias")
+    if s.ratio > _MC_MAX_RATIO:
+        raise ValueError(f"aspect ratio {s.ratio:.12g}: the Monte-Carlo takes a/b <= "
+                         f"{_MC_MAX_RATIO:g}, where its inverse-CDF table already "
+                         "biases Theta by 1.2e-4 relative")
     if n_workers < 1:
         raise ValueError(f"n_workers must be >= 1, got {n_workers}")
     _check_convention(convention)

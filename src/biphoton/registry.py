@@ -1,22 +1,20 @@
 """Per-species atomic data registry.
 
-Entries ship as a versioned JSON file next to this module; each entry is
-checked for unknown keys and for the level-ordering invariants.  Helium-like
-ions are synthesized on demand from the helium entry by screened hydrogenic
-scaling: the 1s->2s gap is modeled as (3/8)*(Z - sigma)^2 hartree with the
-screening constant fixed by the helium gap, and the two-photon lifetime scales
-with the sixth power of the effective charge.
+The one shipped record, helium's, is a constant of this module holding the
+source's printed values; every record is checked for the level-ordering
+invariants when it is built.  Helium-like ions are synthesized on demand from
+the helium record by screened hydrogenic scaling: the 1s->2s gap is modeled
+as (3/8)*(Z - sigma)^2 hartree with the screening constant fixed by the
+helium gap, and the two-photon lifetime scales with the sixth power of the
+effective charge.
 """
 
 from __future__ import annotations
 
-import functools
-import json
 import math
 import re
 import types
 from dataclasses import dataclass
-from importlib import resources
 
 from .units import HARTREE_EV, Quantity
 
@@ -64,35 +62,28 @@ class SpeciesData:
         return Quantity(self.delta_eg.value - self.e_2p.value, "eV")
 
 
-def _entry_to_species(name: str, raw: dict) -> SpeciesData:
-    known = {"delta_eg_ev", "e_2p_ev", "f_g2p", "f_2p2s", "d4_eg_au", "lifetime_2s_s", "z"}
-    extra = set(raw) - known
-    if extra:
-        raise ValueError(f"species {name!r}: unknown keys {sorted(extra)}")
-    return SpeciesData(
-        name=name,
-        delta_eg=Quantity(raw["delta_eg_ev"], "eV"),
-        e_2p=Quantity(raw["e_2p_ev"], "eV"),
-        f_g2p=raw["f_g2p"],
-        f_2p2s=raw["f_2p2s"],
-        d4_eg=raw.get("d4_eg_au"),
-        lifetime_2s=Quantity(raw["lifetime_2s_s"], "s"),
-        z=raw["z"],
-    )
+# name -> shipped record, read-only: helium's printed levels, oscillator
+# strengths, four-photon element and 2s lifetime
+_SHIPPED = types.MappingProxyType({"He": SpeciesData(
+    name="He",
+    delta_eg=Quantity(20.62, "eV"),
+    e_2p=Quantity(21.22, "eV"),
+    f_g2p=0.28,
+    f_2p2s=-0.36,
+    d4_eg=149.0,
+    lifetime_2s=Quantity(0.0197, "s"),
+    z=2,
+)})
 
 
-@functools.cache
 def default_registry() -> types.MappingProxyType[str, SpeciesData]:
-    """The shipped species records by name, read-only; loaded once per process."""
-    raw = json.loads(
-        resources.files("biphoton").joinpath("data/species.json").read_text()
-    )
-    return types.MappingProxyType(
-        {k: _entry_to_species(k, v) for k, v in raw["species"].items()})
+    """The shipped species records by name, read-only; the same object on
+    every call."""
+    return _SHIPPED
 
 
 def _he_like(z: int) -> SpeciesData:
-    he = default_registry()["He"]
+    he = _SHIPPED["He"]
     # screening constant from the helium 1s2s-1s^2 gap
     sigma = he.z - math.sqrt(he.delta_eg.au / 0.375)
     zeff = z - sigma
@@ -111,9 +102,8 @@ def _he_like(z: int) -> SpeciesData:
 
 def species(name: str) -> SpeciesData:
     """A shipped species by name, or ``He-like(Z=n)`` scaled from helium."""
-    shipped = default_registry()
-    if name in shipped:
-        return shipped[name]
+    if name in _SHIPPED:
+        return _SHIPPED[name]
     m = _HE_LIKE.match(name)
     if m:
         z = int(m.group(1))
@@ -123,7 +113,7 @@ def species(name: str) -> SpeciesData:
             raise SpeciesNotFound(
                 f"He-like requires Z <= {_MAX_HE_LIKE_Z}, got {z}: the scaling is "
                 "non-relativistic, and (Z alpha)^2 passes 5% above that")
-        return shipped["He"] if z == 2 else _he_like(z)
+        return _SHIPPED["He"] if z == 2 else _he_like(z)
     raise SpeciesNotFound(
-        f"unknown species {name!r}; available: {sorted(shipped) + ['He-like(Z=n)']}"
+        f"unknown species {name!r}; available: {sorted(_SHIPPED) + ['He-like(Z=n)']}"
     )

@@ -266,8 +266,14 @@ def _repro_table(configs: dict[str, SimpleNamespace], he,
                      "max/plateau ratio of the geometry-factor curve",
                      8.0 / 3.0, th_sphere / th_148, "shape-only", 0.05))
 
+    # the printed pump and gas cell: the reference defaults, whatever the
+    # scenario overrides, since the rows check the printed arithmetic
+    ref = sch.SCHEMES["narrowband-4photon"].config()
+    i14 = ref.intensity_wcm2 * W_CM2
+    photon_energy = sch.PUMP_PHOTON_ENERGY_EV * EV
+    spot, length = ref.spot_diameter_um * UM, ref.path_length_mm * MM
+
     # --- field / four-photon chain (chained from the printed E0 = 0.053)
-    i14 = 1e14 * W_CM2
     rows.append(_row("e0_field", "peak field at 1e14 W/cm^2 (a.u.)",
                      0.053, intensity_to_field(i14), "exact-formula", 0.05))
     omega4 = sch.four_photon_rabi(he, field_au=0.053)
@@ -284,20 +290,20 @@ def _repro_table(configs: dict[str, SimpleNamespace], he,
                      note="chained from printed E0=0.053"))
     rows.append(_row("r4_rate_s", "per-atom four-photon rate (s^-1)",
                      1e9, r4 / PER_S, "order-of-magnitude", 3.0))
-    alpha4 = sch.absorption_coefficient(4, 1e9 * PER_S, 1e19, i14, 5.155 * EV)
+    alpha4 = sch.absorption_coefficient(4, 1e9 * PER_S, 1e19, i14, photon_energy)
     rows.append(_row("alpha4", "four-photon absorption coefficient (W^-3 cm^5)",
                      3.4e-46, alpha4, "exact-formula", 0.05,
                      note="chained from printed R=1e9, N=1e19"))
-    frac4 = sch.attenuation_fraction(i14, alpha4, 1.0 * MM, 4)
+    frac4 = sch.attenuation_fraction(i14, alpha4, length, 4)
     rows.append(_row("absorption_fraction", "four-photon absorbed fraction",
                      3.4e-5, frac4, "exact-formula", 0.05,
                      note="chained from the alpha4 row"))
 
     # --- particle and photon budgets
-    atoms = atoms_in_focal_volume(1.0, 293.0, 100.0 * UM, 1.0 * MM)
+    atoms = atoms_in_focal_volume(ref.pressure_bar, ref.temperature_k, spot, length)
     rows.append(_row("atoms_focal", "atoms in the focal volume at 1 bar",
                      7.8e13, atoms, "exact-formula", 0.10))
-    flux240 = photon_flux(i14, 5.155 * EV, 100.0 * UM)
+    flux240 = photon_flux(i14, photon_energy, spot)
     rows.append(_row("photons_240nm", "240 nm photons/s through the focal spot",
                      1e28, flux240, "order-of-magnitude", 3.0))
 

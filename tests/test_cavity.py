@@ -216,6 +216,34 @@ class TestThetaMC:
         with pytest.raises(ValueError):
             theta_factor_mc(Spheroid(2.0, 1.0), 10)
 
+    @pytest.mark.parametrize("ratio, n_samples, match", [
+        (1000.0001, 1000, r"aspect ratio 1000\.0001: the Monte-Carlo takes a/b <= 1000, "
+                          r".*1\.2e-4"),
+        (2.0, 10**9 + 1, r"need n_samples <= 1e\+09, got 1000000001"),
+    ], ids=["ratio", "samples"])
+    def test_bounds_checked_before_the_table(self, ratio, n_samples, match,
+                                             monkeypatch):
+        def no_table(s):
+            raise AssertionError("built the inverse-CDF table")
+        monkeypatch.setattr(cavity, "_theta_cdf", no_table)
+        with pytest.raises(ValueError, match=match):
+            theta_factor_mc(Spheroid(ratio, 1.0), n_samples)
+
+    @pytest.mark.parametrize("ratio, bound", [(148.0, 2e-5), (1e3, 1.3e-4)])
+    def test_table_bias_within_the_stated_bound(self, ratio, bound):
+        """The Theta the inverse-CDF table itself implies, with u on a
+        2**16-point midpoint rule and phi on 8 points, against the closed
+        form: the bias the sample-count and ratio caps are set by."""
+        s = Spheroid(ratio, 1.0)
+        th_grid, cdf = cavity._theta_cdf(s)
+        n_u, n_phi = 2**16, 8
+        theta = np.interp((np.arange(n_u) + 0.5) / n_u, cdf, th_grid)
+        mean = sum(_pol_tensor_mean(s, theta, np.full(n_u, 2.0 * math.pi * j / n_phi),
+                                    "physical") for j in range(n_phi)) / n_phi
+        table = float(((4.0 * math.pi * mean) ** 2).sum()) / 9.0
+        bias = table / theta_closed_form(ratio, "physical") - 1.0
+        assert -bound < bias < 0.0
+
     def test_slices_change_only_summation_order(self, monkeypatch):
         # 3125-draw batches in slices of 1000, 1000, 1000 and 125 draws
         s = Spheroid(2.5, 1.0)

@@ -81,6 +81,21 @@ class TestTheta:
         assert "need n_samples >= 1000" in err
         assert out == ""
 
+    # the inverse-CDF table biases Theta by 1.2e-4 at a/b = 1e3 and 1.2e-2 at
+    # 1e5: the two ratios used to print a confident wrong value and exit 0
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("ratio, n, message", [
+        ("1e6", "100000", "aspect ratio 1000000: the Monte-Carlo takes a/b <= 1000, "),
+        ("1e20", "1000", "aspect ratio 1e+20: the Monte-Carlo takes a/b <= 1000, "),
+        ("2", "1000000001", "need n_samples <= 1e+09, got 1000000001: "),
+    ], ids=["ratio-1e6", "ratio-1e20", "samples"])
+    def test_mc_past_its_bounds_is_config_error(self, ratio, n, message, capsys):
+        code, out, err = run(["theta", "--ratio", ratio, "--mc", n], capsys)
+        assert code == EXIT_CONFIG
+        assert err.startswith(f"configuration error: {message}")
+        assert "Warning" not in err
+        assert out == ""
+
 
 class TestThetaCurve:
     def test_writes_csv(self, tmp_path, capsys):
@@ -659,7 +674,8 @@ def test_flag_defaults_are_the_scenario_defaults():
 # a cap; None stands for JSON null and is tried on scenario keys only.
 EDGE_VALUES = [0, -1, math.nan, math.inf, -math.inf, 1e308, "x", None]
 CAPS = {"--n-omega": spc._MAX_N_POINTS, "n_omega": spc._MAX_N_POINTS,
-        "--n-t": spc._MAX_N_T, "n_t": spc._MAX_N_T, "--points": 10_000}
+        "--n-t": spc._MAX_N_T, "n_t": spc._MAX_N_T, "--points": 10_000,
+        "--mc": 10**9}
 # arguments that keep a command cheap whatever the value under test
 BASE_ARGS = {"theta": ["--ratio", "2"], "theta-curve": ["--points", "2"],
              "spectrum": ["--n-omega", "64"], "correlation": ["--n-omega", "64"]}

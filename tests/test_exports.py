@@ -2,7 +2,8 @@
 fails here and not only under ``from biphoton.<module> import *``; every
 module-level import is read, so an unused one fails here; every name a
 demo imports from biphoton exists, though tier-1 runs only one demo; units
-stay at the boundary; and species are looked up one way."""
+stay at the boundary; species are looked up one way; and every shipped data
+file is opened by name somewhere in the package."""
 
 import ast
 import importlib
@@ -104,3 +105,13 @@ def test_one_species_lookup(path):
              if isinstance(n, ast.Call) and "default_registry" in (
                  getattr(n.func, "id", None), getattr(n.func, "attr", None))]
     assert calls == []
+
+
+def test_every_data_file_is_named_in_the_package():
+    """A file under ``data/`` that no package module names is package data
+    that nothing opens."""
+    data = Path(biphoton.__file__).parent / "data"
+    sources = "".join(path.read_text() for path in PACKAGE)
+    files = sorted(p.name for p in data.rglob("*") if p.is_file())
+    assert files
+    assert [name for name in files if name not in sources] == []

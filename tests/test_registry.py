@@ -1,13 +1,14 @@
+import dataclasses
 import math
 
 import pytest
 
 from biphoton.registry import (
     SpeciesNotFound,
-    _entry_to_species,
     default_registry,
     species,
 )
+from biphoton.units import Quantity
 
 
 class TestHelium:
@@ -79,7 +80,7 @@ class TestHeLike:
 
 
 class TestDefaultRegistry:
-    def test_loaded_once_and_read_only(self):
+    def test_one_read_only_mapping(self):
         shipped = default_registry()
         assert shipped is default_registry()
         assert list(shipped) == ["He"]
@@ -88,19 +89,13 @@ class TestDefaultRegistry:
         assert species("He") is shipped["He"]
 
 
-class TestUserOverlay:
-    """The checks every species entry passes, those of the shipped
-    ``species.json`` included."""
-
-    ENTRY = {"delta_eg_ev": 20.0, "e_2p_ev": 21.0, "f_g2p": 0.3,
-             "f_2p2s": -0.3, "lifetime_2s_s": 0.02, "z": 2}
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="typo_field"):
-            _entry_to_species("X", {**self.ENTRY, "typo_field": 1})
+class TestSpeciesData:
+    """The checks every species record passes, the shipped helium record
+    included."""
 
     def test_invariants_enforced(self):
+        he = species("He")
         with pytest.raises(ValueError, match="delta_eg < e_2p"):
-            _entry_to_species("X", {**self.ENTRY, "delta_eg_ev": 22.0})
+            dataclasses.replace(he, delta_eg=Quantity(22.0, "eV"))
         with pytest.raises(ValueError, match="lifetime_2s must be positive"):
-            _entry_to_species("X", {**self.ENTRY, "lifetime_2s_s": 0.0})
+            dataclasses.replace(he, lifetime_2s=Quantity(0.0, "s"))
