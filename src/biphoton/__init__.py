@@ -38,12 +38,15 @@ from .spectrum import (
     CorrelationTime,
     FlatChain,
     PoleChain,
+    SizedSpectrum,
+    SpectrumConvergenceError,
     correlation_function,
     correlation_time,
     flat_correlation_closed_form,
     hydrogenic_scaled,
     provider_flat,
     provider_pole,
+    sized_spectrum,
     spectral_amplitude,
     two_photon_decay_rate,
 )

@@ -101,22 +101,39 @@ def _cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
+def _sizing_note(sized: spc.SizedSpectrum) -> str:
+    """The grid size a sized spectrum used and its last level-to-level change."""
+    n, d_gamma, d_c = sized.history[-1]
+    note = (f"n_omega = {n} (sized by its error: from {n // 2} nodes, "
+            f"|dGamma|/Gamma = {d_gamma:.2g}")
+    return note + (")" if sized.correlation is None else f", max|dC| = {d_c:.2g})")
+
+
 def _cmd_correlation(args) -> int:
     spc._check_time_grid(args.tmax_au, args.n_t)
     provider = _provider(args.species, args.provider)
-    spec = spc.spectral_amplitude(provider, n_points=args.n_omega)
-    corr = spc.correlation_function(spec, t_max_au=args.tmax_au, n_t=args.n_t)
+    if args.n_omega is None:
+        sized = spc.sized_spectrum(provider, t_max_au=args.tmax_au, n_t=args.n_t)
+        corr = sized.correlation
+    else:
+        spec = spc.spectral_amplitude(provider, n_points=args.n_omega)
+        corr = spc.correlation_function(spec, t_max_au=args.tmax_au, n_t=args.n_t)
     ct = spc.correlation_time(corr)
     [path] = _write_all({_resolve(args.out): _correlation_csv(corr)})
     print(f"wrote {path}; correlation time = {ct.width_au:.6g} a.u. "
           f"= {ct.width.value:.6g} s")
+    if args.n_omega is None:
+        print(_sizing_note(sized))
     return EXIT_OK
 
 
 def _cmd_lifetime(args) -> int:
     provider = _provider(args.species, args.provider)
-    rate, lifetime = spc.two_photon_decay_rate(provider)
+    spc._check_calibrated(provider)
+    sized = spc.sized_spectrum(provider)
+    rate, lifetime = spc._decay_rate(sized.spectrum)
     print(f"rate = {rate.value:.6g} 1/s, lifetime = {lifetime.value:.6g} s")
+    print(_sizing_note(sized))
     return EXIT_OK
 
 
@@ -182,14 +199,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="pair spectral amplitude")
     p.add_argument("--species", default=species)
     p.add_argument("--provider", default=spectrum["provider"])
-    p.add_argument("--n-omega", type=int, default=spectrum["n_omega"])
+    # the grid is this command's output, so it is not sized
+    p.add_argument("--n-omega", type=int, default=2048)
     p.add_argument("--out", default="spectrum.csv")
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("correlation", help="pair time-correlation function")
     p.add_argument("--species", default=species)
     p.add_argument("--provider", default=spectrum["provider"])
-    p.add_argument("--n-omega", type=int, default=spectrum["n_omega"])
+    p.add_argument("--n-omega", type=int, default=spectrum["n_omega"],
+                   help="frequency nodes (default: the grid sized by its error)")
     p.add_argument("--tmax-au", type=float, default=spectrum["t_max_au"])
     p.add_argument("--n-t", type=int, default=spectrum["n_t"])
     p.add_argument("--out", default="corr.csv")

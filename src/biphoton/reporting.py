@@ -74,7 +74,8 @@ DEFAULTS = {
           "geometry": {}, "spectrum": {}, "schemes": {}},
     "$.geometry": {"ratios": [1, 1.5, 2, 3, 5, 8, 12, 20, 40, 80, 148],
                    "rel_tol": 1e-7},
-    "$.spectrum": {"provider": "pole", "n_omega": 2048, "t_max_au": 40.0,
+    # n_omega None: the grid is sized by its error (``spectrum.sized_spectrum``)
+    "$.spectrum": {"provider": "pole", "n_omega": None, "t_max_au": 40.0,
                    "n_t": 4096},
 }
 
@@ -89,7 +90,7 @@ class Scenario:
     ratios: list[float]
     rel_tol: float
     provider: str
-    n_omega: int
+    n_omega: int | None
     t_max_au: float
     n_t: int
     configs: dict[str, SimpleNamespace]
@@ -134,7 +135,11 @@ class Scenario:
             spectrum["t_max_au"] = float(spectrum["t_max_au"])
             # the numeric layer rejects these too, but only once the theta
             # curve and the frequency rule are built
-            spc._check_n_points(spectrum["n_omega"], "$.spectrum.n_omega")
+            if spectrum["n_omega"] is not None:
+                if not isinstance(spectrum["n_omega"], int):
+                    raise ValueError(f"$.spectrum.n_omega must be an integer or "
+                                     f"None, got {type(spectrum['n_omega']).__name__}")
+                spc._check_n_points(spectrum["n_omega"], "$.spectrum.n_omega")
             spc._check_time_grid(spectrum["t_max_au"], spectrum["n_t"], "$.spectrum.")
         except ValueError as exc:
             raise SchemaError(str(exc)) from None
@@ -212,6 +217,13 @@ class ReproTable:
 def _correlation(
     scenario: Scenario, provider
 ) -> tuple[spc.BiphotonSpectrum, spc.CorrelationSeries]:
+    """The spectrum of ``provider`` and its correlation on the scenario's time
+    grid: on ``n_omega`` nodes, or on the grid sized by its error when
+    ``n_omega`` is None."""
+    if scenario.n_omega is None:
+        sized = spc.sized_spectrum(provider, t_max_au=scenario.t_max_au,
+                                   n_t=scenario.n_t)
+        return sized.spectrum, sized.correlation
     spec = spc.spectral_amplitude(provider, n_points=scenario.n_omega)
     return spec, spc.correlation_function(spec, t_max_au=scenario.t_max_au,
                                           n_t=scenario.n_t)
@@ -382,11 +394,18 @@ def _repro_table(configs: dict[str, SimpleNamespace], he,
 
 
 def _csv(header: list[str], rows) -> str:
-    lines = [",".join(header)]
+    """CSV text of ``rows`` under ``header``: a float (or float subclass) as
+    ``_FLOAT_FMT``, any other value as ``str``.  Each row is formatted with
+    one ``%`` operation, on a line format kept per row of value types."""
+    lines, formats = [",".join(header)], {}
     for row in rows:
-        lines.append(",".join(
-            _FLOAT_FMT % v if isinstance(v, float) else str(v) for v in row
-        ))
+        row = tuple(row)
+        kinds = tuple(map(type, row))
+        fmt = formats.get(kinds)
+        if fmt is None:
+            fmt = formats[kinds] = ",".join(
+                _FLOAT_FMT if issubclass(kind, float) else "%s" for kind in kinds)
+        lines.append(fmt % row)
     return "\n".join(lines) + "\n"
 
 

@@ -19,6 +19,11 @@ function is its Fourier transform over [0, D_eg], normalized to C(0) = 1.
 The correlation time reported is the full width of the central lobe of
 Re C(t) between its first zero crossings on either side of t = 0.
 
+Gamma and C(t) are integrals over the emission window on one Gauss-Legendre
+grid.  ``sized_spectrum`` sizes that grid by its error: it doubles n from 32,
+or from the first level that resolves the time grid, until two levels agree,
+and every caller that is given no grid size uses it.
+
 The decay rate uses
 
     Gamma = 4/(27*pi*c^6) * integral_0^D [w(D-w)]^3 |S(w)|^2 dw
@@ -46,6 +51,7 @@ __all__ = [
     "BiphotonSpectrum",
     "CorrelationSeries",
     "CorrelationTime",
+    "SizedSpectrum",
     "provider_flat",
     "provider_pole",
     "PROVIDERS",
@@ -53,10 +59,12 @@ __all__ = [
     "spectral_amplitude",
     "correlation_function",
     "correlation_time",
+    "sized_spectrum",
     "two_photon_decay_rate",
     "flat_correlation_closed_form",
     "PoleInGridError",
     "UncalibratedProviderError",
+    "SpectrumConvergenceError",
 ]
 
 RATE_PREFACTOR = 4.0 / (27.0 * math.pi * C_AU**6)
@@ -71,6 +79,10 @@ class PoleInGridError(ValueError):
 
 class UncalibratedProviderError(ValueError):
     pass
+
+
+class SpectrumConvergenceError(ArithmeticError):
+    """No two grid levels of at most ``_MAX_N_POINTS`` nodes agree."""
 
 
 @dataclass(frozen=True)
@@ -330,28 +342,143 @@ def flat_correlation_closed_form(t_au, delta_au: float):
     return np.exp(1j * delta_au * t / 2.0) * env
 
 
+def _check_calibrated(provider: FlatChain | PoleChain) -> None:
+    if isinstance(provider, FlatChain):
+        raise UncalibratedProviderError(
+            "provider 'flat' is not calibrated in absolute a.u."
+        )
+
+
 def two_photon_decay_rate(
-    provider: FlatChain | PoleChain, n_points: int = 2048
+    provider: FlatChain | PoleChain, n_points: int | None = None
 ) -> tuple[Quantity, Quantity]:
     """Two-photon decay rate and lifetime from a calibrated chain.
 
     Gamma = 4/(27*pi*c^6) * integral_0^D [w(D-w)]^3 |S(w)|^2 dw (a.u.); the
     prefactor carries the isotropic 1/3 contraction squared, the mode-density
     factors, and the 1/2 for photon exchange over the full-range integral.
+    The integral runs on an ``n_points``-node rule, or, with ``n_points``
+    None, on the grid ``sized_spectrum`` sizes by its error: 128 nodes for
+    He, where Gamma is 6e-15 (relative) off a 30-digit mpmath integral (a
+    fixed 2048-node rule is 1.6e-13 off, from ``leggauss``'s weights).
     """
-    if isinstance(provider, FlatChain):
-        raise UncalibratedProviderError(
-            "provider 'flat' is not calibrated in absolute a.u."
-        )
+    _check_calibrated(provider)
+    if n_points is None:
+        return _decay_rate(sized_spectrum(provider).spectrum)
     return _decay_rate(spectral_amplitude(provider, n_points=n_points))
+
+
+def _gamma_au(spec: BiphotonSpectrum) -> float:
+    """Gamma in a.u. integrated on the nodes of a sampled spectrum."""
+    delta = spec.delta_eg_au
+    s = spec.provider.chain_sum(spec.omega_au)
+    integrand = (spec.omega_au * (delta - spec.omega_au)) ** 3 * s**2
+    return RATE_PREFACTOR * float(np.dot(spec.weights_au, integrand))
 
 
 def _decay_rate(spec: BiphotonSpectrum) -> tuple[Quantity, Quantity]:
     """Decay rate and lifetime integrated on the nodes of a sampled spectrum;
     its provider must be calibrated."""
-    delta = spec.delta_eg_au
-    s = spec.provider.chain_sum(spec.omega_au)
-    integrand = (spec.omega_au * (delta - spec.omega_au)) ** 3 * s**2
-    gamma_au = RATE_PREFACTOR * float(np.dot(spec.weights_au, integrand))
-    rate = Quantity(gamma_au / AU_TIME_S, "1/s")
+    rate = Quantity(_gamma_au(spec) / AU_TIME_S, "1/s")
     return rate, Quantity(1.0 / rate.value, "s")
+
+
+# The sizing loop's tolerances.  Two levels agree when Gamma moves by at most
+# _GAMMA_RTOL of itself and C(t) by at most _C_ATOL (C(0) = 1).  Both sit
+# above leggauss's own weight error, which moves Gamma by about 1.5e-13
+# between the 1024-, 2048- and 4096-node rules: with a 1e-13 tolerance on
+# Gamma, t_max_au = 1000 settled only at 8192 nodes.
+_GAMMA_RTOL = 1e-12
+_C_ATOL = 1e-13
+_FIRST_LEVEL = 32
+
+
+def _levels(delta_eg_au: float, t_max_au: float | None) -> list[int]:
+    """The grid sizes ``sized_spectrum`` may try: 32, 64, ... up to
+    ``_MAX_N_POINTS``, from the first that passes the quarter-period guard of
+    ``correlation_function`` at ``t_max_au`` (from 32 without a time grid).
+
+    An n-node rule on [0, D] has its widest gap at the centre, just under
+    pi*D/(2n + 1), so n >= D*t_max - 1/2 passes the guard; the guard's real
+    limit lies above that bound by 0.05% at n = 32 and by less at larger n.
+    Raises ``ValueError`` when no level passes the guard, and
+    ``SpectrumConvergenceError`` when only one does, since then no two levels
+    can agree.  Needs no numpy, so both fail before any rule is built.
+    """
+    need = delta_eg_au * t_max_au - 0.5 if t_max_au is not None else 0.0
+    levels, n = [], _FIRST_LEVEL
+    while n <= _MAX_N_POINTS:
+        if n >= need:
+            levels.append(n)
+        n *= 2
+    if not levels:
+        raise ValueError(
+            f"t_max_au = {t_max_au:g} needs more than {_MAX_N_POINTS} frequency "
+            f"nodes to pass the quarter-period guard; the largest t_max_au the "
+            f"sized grid resolves is {(_MAX_N_POINTS + 0.5) / delta_eg_au:.4g}"
+        )
+    if len(levels) < 2:
+        raise SpectrumConvergenceError(
+            f"t_max_au = {t_max_au:g} needs {levels[0]} frequency nodes, so the "
+            f"grid cannot be sized by comparing two levels of at most "
+            f"{_MAX_N_POINTS} nodes; set the number of nodes instead"
+        )
+    return levels
+
+
+@dataclass(frozen=True)
+class SizedSpectrum:
+    """The spectrum on the finer of the first two grid levels that agree,
+    its correlation on the requested time grid (None without one), and the
+    level-to-level history: one ``(n, |dGamma|/Gamma, max|dC|)`` per level
+    after the first, each against the level below it (max|dC| is 0.0
+    without a time grid)."""
+
+    spectrum: BiphotonSpectrum
+    correlation: CorrelationSeries | None
+    history: tuple[tuple[int, float, float], ...]
+
+    @property
+    def n(self) -> int:
+        return self.spectrum.omega_au.size
+
+
+def sized_spectrum(
+    provider: FlatChain | PoleChain, t_max_au: float | None = None, n_t: int = 4096
+) -> SizedSpectrum:
+    """The spectrum on a grid sized by its error.
+
+    Builds the spectrum at n = 32, 64, 128, ... (``_levels``) and at each
+    level integrates Gamma and, when ``t_max_au`` is given, transforms C(t)
+    on that time grid (``correlation_function``).  It stops at the first
+    level whose Gamma is within ``_GAMMA_RTOL`` of the level below's,
+    relative, and whose C(t) is within ``_C_ATOL`` of it at every t.  For He
+    at t_max_au = 40 that is 128 nodes: 32 -> 64 moves Gamma by 1.7e-10 and
+    C by 4.3e-12, 64 -> 128 by 7.7e-15 and 7.1e-16.  Raises
+    ``SpectrumConvergenceError`` when no two levels of at most
+    ``_MAX_N_POINTS`` nodes agree.
+    """
+    if t_max_au is not None:
+        _check_time_grid(t_max_au, n_t)
+    history, last = [], None
+    for n in _levels(provider.delta_eg_au, t_max_au):
+        spec = spectral_amplitude(provider, n_points=n)
+        gamma = _gamma_au(spec)
+        corr = (correlation_function(spec, t_max_au=t_max_au, n_t=n_t)
+                if t_max_au is not None else None)
+        if last is not None:
+            last_gamma, last_corr = last
+            # Gamma >= 0, and 0 only for a chain that vanishes at every node
+            d_gamma = abs(gamma - last_gamma) / gamma if gamma else 0.0
+            d_c = (float(np.max(np.abs(corr.values - last_corr.values)))
+                   if corr is not None else 0.0)
+            history.append((n, d_gamma, d_c))
+            if d_gamma <= _GAMMA_RTOL and d_c <= _C_ATOL:
+                return SizedSpectrum(spec, corr, tuple(history))
+        last = gamma, corr
+    n, d_gamma, d_c = history[-1]
+    raise SpectrumConvergenceError(
+        f"the spectrum grid did not settle by {n} nodes: the last level moved "
+        f"Gamma by {d_gamma:.2g} relative (tolerance {_GAMMA_RTOL:g}) and C(t) "
+        f"by {d_c:.2g} (tolerance {_C_ATOL:g})"
+    )

@@ -16,6 +16,7 @@ from biphoton import cavity
 from biphoton import schemes as sch
 from biphoton import spectrum as spc
 from biphoton.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, build_parser, main
+from biphoton.registry import species
 from biphoton.reporting import DEFAULTS, bundled_scenario_path
 
 # every scenario override key, over all schemes
@@ -171,6 +172,45 @@ class TestSpectrumAndCorrelation:
         assert code == EXIT_OK
         assert "correlation time" in stdout
         assert out.read_text().splitlines()[0] == "t_au,t_s,re,im,abs"
+
+    def test_sized_grid_is_reported(self, tmp_path, capsys):
+        """Without --n-omega, correlation and lifetime print the grid size
+        they settled at and its last level-to-level change."""
+        sized = spc.sized_spectrum(spc.provider_pole(species("He")),
+                                   t_max_au=40.0, n_t=4096)
+        _, d_gamma, d_c = sized.history[-1]
+        note = "n_omega = 128 (sized by its error: from 64 nodes, |dGamma|/Gamma = "
+        _, stdout, _ = run(["correlation", "--out", str(tmp_path / "c.csv")], capsys)
+        assert stdout.splitlines()[-1] == f"{note}{d_gamma:.2g}, max|dC| = {d_c:.2g})"
+        _, stdout, _ = run(["lifetime"], capsys)
+        assert stdout.splitlines()[-1].startswith(note)
+        assert "max|dC|" not in stdout
+        _, stdout, _ = run(["correlation", "--n-omega", "64",
+                            "--out", str(tmp_path / "c.csv")], capsys)
+        assert "n_omega" not in stdout
+
+    def test_t_max_past_the_sized_grid_fails_before_any_rule(self, tmp_path, capsys,
+                                                             rule_builds):
+        out = tmp_path / "c.csv"
+        code, _, err = run(["correlation", "--tmax-au", "1e5", "--out", str(out)], capsys)
+        assert code == EXIT_CONFIG
+        assert "needs more than 8192 frequency nodes" in err
+        # one level resolves it, so the sizing cannot compare two
+        code, _, err = run(["correlation", "--tmax-au", "6000", "--out", str(out)],
+                           capsys)
+        assert code == EXIT_NUMERICAL
+        assert "numerical error (SpectrumConvergenceError)" in err
+        assert not out.exists()
+        assert rule_builds == Counter()
+
+    def test_unsettled_grid_is_numerical_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(spc, "_MAX_N_POINTS", 128)
+        monkeypatch.setattr(spc, "_GAMMA_RTOL", 0.0)
+        code, out, err = run(["lifetime"], capsys)
+        assert code == EXIT_NUMERICAL
+        assert err.startswith("numerical error (SpectrumConvergenceError): the "
+                              "spectrum grid did not settle by 128 nodes")
+        assert out == ""
 
     # rule_builds fails a rule above 2048 nodes before it is built, so an
     # unchecked 8193 cannot allocate
@@ -502,8 +542,9 @@ class TestRun:
     ({"t_max_au": math.inf}, "$.spectrum.t_max_au must be finite and > 0, got inf"),
     ({"n_t": 2**20 + 1}, "$.spectrum.n_t must be <= 1048576, got 1048577"),
     ({"n_omega": 8193}, "$.spectrum.n_omega must be <= 8192, got 8193"),
+    ({"n_omega": 64.5}, "$.spectrum.n_omega must be an integer or None, got float"),
 ], ids=["n_t", "n_omega", "negative-t_max", "infinite-t_max", "n_t-over-cap",
-        "n_omega-over-cap"])
+        "n_omega-over-cap", "n_omega-not-integer"])
 def test_bad_spectrum_setting_fails_before_any_rule(command, spectrum, message,
                                                     tmp_path, capsys, rule_builds):
     scenario = tmp_path / "bad.json"
@@ -553,7 +594,7 @@ assert main(["theta", "--ratio", "0.5"]) == 2
 for name in {list(bad)!r}:
     assert main(["run", name + ".json", "--out-dir", "out"]) == 2, name
 for argv in (["spectrum", "--n-omega", "8193"], ["theta-curve", "--points", "10001"],
-             ["correlation", "--n-t", "1048577"]):
+             ["correlation", "--n-t", "1048577"], ["correlation", "--tmax-au", "1e5"]):
     assert main(argv) == 2, argv
 print(json.dumps(sorted(m for m in sys.modules
                         if m.split(".")[0] == "numpy"
@@ -659,9 +700,11 @@ def test_flag_defaults_are_the_scenario_defaults():
     one_species = ("spectrum", "correlation", "lifetime")
     assert flags("species", *one_species) == {DEFAULTS["$"]["species"]}
     assert flags("provider", *one_species) == {spectrum["provider"]}
-    assert flags("n_omega", "spectrum", "correlation") | {
-        param(spc.spectral_amplitude, "n_points"),
-        param(spc.two_photon_decay_rate, "n_points")} == {spectrum["n_omega"]}
+    # None: the grid sized by its error
+    assert flags("n_omega", "correlation") | {
+        param(spc.two_photon_decay_rate, "n_points")} == {spectrum["n_omega"]} == {None}
+    # the spectrum command's grid is its output, so it is not sized
+    assert flags("n_omega", "spectrum") == {param(spc.spectral_amplitude, "n_points")}
     assert flags("tmax_au", "correlation") | {
         param(spc.correlation_function, "t_max_au")} == {spectrum["t_max_au"]}
     assert flags("n_t", "correlation") | {

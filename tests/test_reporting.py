@@ -17,6 +17,8 @@ from biphoton.reporting import (
     ReproTable,
     Scenario,
     SchemaError,
+    _correlation_csv,
+    _csv,
     _theta_curve_csv,
     bundled_scenario_path,
     repro_report,
@@ -32,9 +34,10 @@ def table():
 
 @pytest.fixture(scope="module")
 def counted_run(tmp_path_factory):
-    """One run of the bundled scenario, counting the correlation transforms,
-    the calls of each scheme runner, the Gauss-Legendre rules built and the
-    aspect ratios given to the Theta quadrature."""
+    """One run of the bundled scenario, counting the grid sizings, the
+    correlation transforms, the calls of each scheme runner, the
+    Gauss-Legendre rules built and the aspect ratios given to the Theta
+    quadrature."""
     calls, theta_ratios = Counter(), Counter()
 
     def counting(name, fn):
@@ -50,8 +53,8 @@ def counted_run(tmp_path_factory):
         return quadrature(s, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spc, "correlation_function",
-                   counting("correlation_function", spc.correlation_function))
+        for name in ("sized_spectrum", "correlation_function"):
+            mp.setattr(spc, name, counting(name, getattr(spc, name)))
         for scheme, entry in list(sch.SCHEMES.items()):
             mp.setitem(sch.SCHEMES, scheme,
                        dataclasses.replace(entry, run=counting(scheme, entry.run)))
@@ -157,14 +160,41 @@ class TestReproTable:
         assert ok.all_passed is True
 
 
+def _hashes(files) -> dict[str, str]:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
+
+
+def _reference_hashes() -> dict[str, str]:
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    return json.loads(path.read_text())["paper-run"]
+
+
+# The two artifacts of the bundled run that read the spectrum, on the grid
+# sized by its error (128 nodes).  Against the reference run's fixed 2048
+# nodes, the repro rows lifetime_he_rate and r_trans_coeff move toward their
+# 30-digit mpmath integrals (Gamma from 1.6e-13 to 6e-15 off), and 244 of
+# the 4097 fig2.csv rows change in the 12th significant digit.
+SIZED_RUN_HASHES = {
+    "fig2.csv": "79ffc98b2117a79a3a85bae2f016f3095422cd6a16f811bfbe4b3caf75add996",
+    "repro_table.json": "ecb1ee081fdeae91320f0e51293fcd5ecc196df9ab010e65e96240b6bace2106",
+}
+
+
 class TestRunScenario:
-    def test_artifacts_match_reference_hashes(self, counted_run):
-        """Every byte of the bundled run equals the recorded reference run."""
+    def test_artifacts_match_reference_hashes(self, tmp_path):
+        """With n_omega = 2048 set, every byte of the bundled run equals the
+        recorded reference run, whose grid had 2048 nodes."""
+        raw = json.loads(bundled_scenario_path().read_text())
+        raw["spectrum"]["n_omega"] = 2048
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(raw))
+        assert _hashes(run_scenario(scenario, tmp_path / "out")) == _reference_hashes()
+
+    def test_sized_artifacts_match_pinned_hashes(self, counted_run):
+        """The bundled run, on the sized grid, writes the pinned bytes: the
+        reference bytes but for the two artifacts that read the spectrum."""
         files, *_ = counted_run
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
-        reference = json.loads(path.read_text())["paper-run"]
-        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
-        assert got == reference
+        assert _hashes(files) == {**_reference_hashes(), **SIZED_RUN_HASHES}
 
     def test_csv_headers(self, counted_run):
         files, *_ = counted_run
@@ -181,15 +211,22 @@ class TestRunScenario:
                 json.loads(p.read_text())
 
     def test_each_stage_runs_once(self, counted_run):
+        # one sizing of the spectrum grid, which transforms C(t) once at each
+        # of its levels, 32, 64 and 128 nodes
         _, calls, *_ = counted_run
-        assert calls == Counter({"correlation_function": 1,
+        assert calls == Counter({"sized_spectrum": 1, "correlation_function": 3,
                                  **{scheme: 1 for scheme in sch.SCHEMES}})
 
     def test_one_spectrum_rule(self, counted_run):
+        # one spectrum rule per level of the sizing, each built once
         *_, rule_builds, _ = counted_run
-        n_omega = Scenario.from_file(bundled_scenario_path()).n_omega
+        scenario = Scenario.from_file(bundled_scenario_path())
+        sized = spc.sized_spectrum(spc.provider_pole(species(scenario.species)),
+                                   t_max_au=scenario.t_max_au, n_t=scenario.n_t)
+        levels = [sized.history[0][0] // 2] + [n for n, *_ in sized.history]
         assert [(n, count) for (n, length), count in rule_builds.items()
-                if length != math.pi] == [(n_omega, 1)]
+                if length != math.pi] == [(n, 1) for n in levels]
+        assert levels[-1] == sized.n == 128
 
     def test_each_rule_size_built_once(self, counted_run):
         # the Theta curve shares its levels' rules across its ratios, and
@@ -207,6 +244,29 @@ class TestRunScenario:
         files, *_ = counted_run
         repro = next(p for p in files if p.name == "repro_table.json")
         assert table.to_json() + "\n" == repro.read_text()
+
+
+def _csv_per_value(header, rows) -> str:
+    """The CSV formatter ``_csv`` replaced, one ``%`` operation per value."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join("%.12g" % v if isinstance(v, float) else str(v)
+                              for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_matches_per_value_formatter():
+    corr = spc.correlation_function(spc.spectral_amplitude(
+        spc.provider_pole(species("He")), n_points=64), t_max_au=40.0, n_t=4096)
+    header = ["t_au", "t_s", "re", "im", "abs"]
+    floats = list(zip(corr.t_au.tolist(), corr.t_s.tolist(), corr.values.real.tolist(),
+                      corr.values.imag.tolist(), corr.abs.tolist()))
+    assert _correlation_csv(corr) == _csv_per_value(header, floats)
+    # a float subclass takes the float format; bools, ints (10**13 has more
+    # digits than %.12g keeps), None, strings and other types take str
+    mixed = [(1.5, "quadrature", None), (2.0, "mc", 1e-3), (True, 5, 10**13),
+             (np.float64(0.1), np.int64(3), np.float32(0.1)), [0.25, -0.0], ()]
+    assert _csv(["a", "b", "c"], mixed) == _csv_per_value(["a", "b", "c"], mixed)
 
 
 class TestCurveWithoutTableRatios:

@@ -231,6 +231,9 @@ class TestSchemeInputs:
         scenario = Scenario.from_file(bundled_scenario_path())
         # every section's defaults, not only the schemes'
         assert scenario == Scenario.from_dict({})
+        # no n_omega, or null: the spectrum grid is sized by its error
+        assert scenario.n_omega is None
+        assert Scenario.from_dict({"spectrum": {"n_omega": None}}) == scenario
         for scheme, entry in SCHEMES.items():
             assert scenario.configs[scheme] == entry.config()
 

@@ -7,18 +7,23 @@ import mpmath
 import numpy as np
 import pytest
 
+from biphoton import spectrum as spc
 from biphoton.registry import species
 from biphoton.spectrum import (
     _BLOCK_ROWS,
     PoleChain,
     PoleInGridError,
+    SpectrumConvergenceError,
     UncalibratedProviderError,
+    _decay_rate,
+    _levels,
     correlation_function,
     correlation_time,
     flat_correlation_closed_form,
     hydrogenic_scaled,
     provider_flat,
     provider_pole,
+    sized_spectrum,
     spectral_amplitude,
     two_photon_decay_rate,
 )
@@ -260,3 +265,115 @@ class TestTabulated:
         assert np.allclose(two.chain_sum(omega),
                            tab.chain_sum(omega) + one.chain_sum(omega), rtol=1e-12)
         assert two.poles() == tab.poles() + one.poles()
+
+
+def _he_amplitude_mp():
+    """[w(D-w)]^3 S(w) of the He pole chain at the working mpmath precision,
+    and eight equal pieces of [0, D] to integrate it on (at t = 40 a.u. the
+    phase e^{iwt} turns through 30 rad over the window)."""
+    chain = provider_pole(HE)
+    delta = mpmath.mpf(chain.delta_eg_au)
+
+    def amplitude(w):
+        s = sum(strength * (1 / (w - (delta - djg)) + 1 / (djg - w))
+                for strength, djg in chain.terms)
+        return (w * (delta - w)) ** 3 * s
+
+    return amplitude, [delta * k / 8 for k in range(9)]
+
+
+@functools.cache
+def _correlation_oracle(t: float) -> complex:
+    """C(t) of the He pole chain by 30-digit adaptive quadrature of
+    int_0^D e^{iwt} [w(D-w)]^3 S(w) dw over its t = 0 value."""
+    with mpmath.workdps(30):
+        amplitude, pieces = _he_amplitude_mp()
+        ct = mpmath.quad(lambda w: mpmath.expj(w * t) * amplitude(w), pieces)
+        return complex(ct / mpmath.quad(amplitude, pieces))
+
+
+@functools.cache
+def _zero_crossing_oracle() -> float:
+    """First zero of Re C(t) for t > 0, the half-width of the correlation
+    time's central lobe, to 30 digits."""
+    with mpmath.workdps(30):
+        amplitude, pieces = _he_amplitude_mp()
+        # the lobe of a spectrum symmetric about D/2 is about 2 pi/D wide
+        return float(mpmath.findroot(
+            lambda t: mpmath.quad(lambda w: mpmath.cos(w * t) * amplitude(w), pieces),
+            mpmath.pi / pieces[-1]))
+
+
+class TestSizedSpectrum:
+    """The grid the bundled scenario's run is sized to (t_max_au = 40,
+    n_t = 4096) against 30-digit mpmath.
+
+    The sized grid settles at 128 nodes, and its Gamma is within 1e-14 of
+    the mpmath integral.  A fixed 2048-node grid is 1.6e-13 off on Gamma,
+    from the error of ``leggauss``'s weights, which is why the sizing
+    tolerances (1e-12 on Gamma, 1e-13 on C) sit above it."""
+
+    @pytest.fixture(scope="class")
+    def sized(self):
+        return sized_spectrum(provider_pole(HE), t_max_au=40.0, n_t=4096)
+
+    def test_settles_at_128_nodes(self, sized):
+        assert sized.n == 128
+        assert [n for n, *_ in sized.history] == [64, 128]
+        (_, d_gamma_64, d_c_64), (_, d_gamma_128, d_c_128) = sized.history
+        assert d_gamma_64 > spc._GAMMA_RTOL and d_c_64 > spc._C_ATOL
+        assert d_gamma_128 <= spc._GAMMA_RTOL and d_c_128 <= spc._C_ATOL
+
+    def test_gamma_matches_mpmath_oracle(self, sized):
+        rate, _ = _decay_rate(sized.spectrum)
+        assert rate.value == pytest.approx(_decay_rate_oracle("He"), rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("t", [1.0, 5.0, 20.0, 40.0, "zero crossing"])
+    def test_correlation_matches_mpmath_oracle(self, sized, t):
+        t = _zero_crossing_oracle() if t == "zero crossing" else t
+        exact = _correlation_oracle(t)
+        # the sized spectrum's transform at exactly t
+        got = correlation_function(sized.spectrum, t_max_au=t, n_t=2).values[-1]
+        assert abs(got - exact) <= 1e-13
+        # and the run's series, where t is one of its points
+        on_grid = np.nonzero(sized.correlation.t_au == t)[0]
+        for i in on_grid:
+            assert abs(sized.correlation.values[i] - exact) <= 1e-13
+
+    def test_correlation_time_brackets_the_zero(self, sized):
+        # linear interpolation between points 40/2048 a.u. apart
+        half = correlation_time(sized.correlation).width_au / 2.0
+        assert half == pytest.approx(_zero_crossing_oracle(), abs=1e-5)
+
+    @pytest.mark.parametrize("n", [32, 64, 128, 256, 512, 1024])
+    def test_first_level_bound_passes_the_guard(self, n):
+        """n >= D*t_max - 1/2 passes the quarter-period guard, and the
+        guard's real limit lies within 0.06% above that bound."""
+        spec = spectral_amplitude(provider_pole(HE), n_points=n)
+        delta = spec.delta_eg_au
+        t_bound = (n + 0.5) / delta
+        assert _levels(delta, t_bound)[0] == n
+        assert _levels(delta, t_bound * (1 + 1e-12))[0] == 2 * n
+        correlation_function(spec, t_max_au=t_bound, n_t=2)
+        with pytest.raises(ValueError, match="too coarse"):
+            correlation_function(spec, t_max_au=t_bound * 1.0006, n_t=2)
+
+    def test_unresolvable_t_max_fails_before_any_rule(self, rule_builds):
+        # no level of at most 8192 nodes passes the guard past 8192.5/D a.u.
+        with pytest.raises(ValueError, match="more than 8192 frequency nodes"):
+            sized_spectrum(provider_pole(HE), t_max_au=1e5)
+        # one level passes, so no two can agree
+        with pytest.raises(SpectrumConvergenceError, match="needs 8192 frequency nodes"):
+            sized_spectrum(provider_pole(HE), t_max_au=6000.0)
+        assert not rule_builds
+
+    def test_levels_that_never_agree_raise(self, monkeypatch, rule_builds):
+        monkeypatch.setattr(spc, "_MAX_N_POINTS", 128)
+        monkeypatch.setattr(spc, "_GAMMA_RTOL", 0.0)
+        with pytest.raises(SpectrumConvergenceError, match="did not settle by 128 nodes"):
+            sized_spectrum(provider_pole(HE))
+        assert sorted(n for n, _ in rule_builds) == [32, 64, 128]
+
+    def test_decay_rate_default_is_the_sized_grid(self):
+        rate, _ = two_photon_decay_rate(provider_pole(HE))
+        assert rate == _decay_rate(sized_spectrum(provider_pole(HE)).spectrum)[0]
