@@ -135,12 +135,15 @@ class Scenario:
             spectrum["t_max_au"] = float(spectrum["t_max_au"])
             # the numeric layer rejects these too, but only once the theta
             # curve and the frequency rule are built
-            if spectrum["n_omega"] is not None:
-                if not isinstance(spectrum["n_omega"], int):
-                    raise ValueError(f"$.spectrum.n_omega must be an integer or "
-                                     f"None, got {type(spectrum['n_omega']).__name__}")
-                spc._check_n_points(spectrum["n_omega"], "$.spectrum.n_omega")
             spc._check_time_grid(spectrum["t_max_au"], spectrum["n_t"], "$.spectrum.")
+            if spectrum["n_omega"] is None:
+                spc._levels(species(top["species"]).delta_eg.au, spectrum["t_max_au"],
+                            "$.spectrum.")
+            elif not isinstance(spectrum["n_omega"], int):
+                raise ValueError(f"$.spectrum.n_omega must be an integer or "
+                                 f"None, got {type(spectrum['n_omega']).__name__}")
+            else:
+                spc._check_n_points(spectrum["n_omega"], "$.spectrum.n_omega")
         except ValueError as exc:
             raise SchemaError(str(exc)) from None
         configs = {}

@@ -69,7 +69,9 @@ __all__ = [
 
 RATE_PREFACTOR = 4.0 / (27.0 * math.pi * C_AU**6)
 
-# rows of e^{i t w} that correlation_function forms at once
+# correlation_function writes the time index as k = _STEPS*a + b with
+# 0 <= b < _STEPS, and forms the factors of _BLOCK_ROWS values of a at once
+_STEPS = 64
 _BLOCK_ROWS = 32
 
 
@@ -255,15 +257,20 @@ def correlation_function(
     is silently wrong, so this raises instead.
 
     The amplitude is real, so C(-t) = conj C(t): only the half grid
-    0 <= t <= t_max_au is transformed, and the t < 0 half is its mirror,
-    t -> -t and C -> conj C.  The half grid is transformed in blocks of
-    ``_BLOCK_ROWS`` rows of e^{i t w}, so memory grows with the number of
-    frequency nodes and not with ``n_t``.  A trailing one-row block is merged
-    into the block before it: BLAS takes another path for a single row and
-    rounds that row differently.
+    t_k = k*h, 0 <= k < K, h = t_max_au/(K - 1), is transformed, and the t < 0
+    half is its mirror, t -> -t and C -> conj C.  With k = _STEPS*a + b,
+    e^{i w t_k} = e^{i w _STEPS a h} e^{i w b h}, so the half grid is the
+    matrix product G @ H with G[a, j] = w_j f_j e^{i w_j _STEPS a h} and
+    H[j, b] = e^{i w_j b h}: (K/_STEPS + _STEPS)*n complex exponentials for n
+    frequency nodes instead of K*n.  H is built once and G ``_BLOCK_ROWS``
+    rows at a time, each block one complex matrix product, so memory grows
+    with n and not with ``n_t``.  For He at t_max_au = 40 on 128 to 2048
+    nodes it is within 1.3e-15 of the discrete sum summed to 30 digits, as
+    the sum of one exponential per time point and node is.
     """
     _check_time_grid(t_max_au, n_t)
-    max_gap = float(np.max(np.diff(spectrum.omega_au)))
+    omega = spectrum.omega_au
+    max_gap = float(np.max(np.diff(omega)))
     if max_gap * t_max_au > math.pi / 2.0:
         raise ValueError(
             f"frequency grid too coarse for |t| <= {t_max_au}: node gap {max_gap:.3e} "
@@ -274,13 +281,27 @@ def correlation_function(
     if c0 == 0.0:
         raise ValueError("spectrum integrates to zero; cannot normalize C(0)=1")
     half = np.linspace(0.0, t_max_au, (n_t | 1) // 2 + 1)
-    c_half = np.empty(half.size, dtype=complex)
-    edges = [0, *range(_BLOCK_ROWS, half.size - 1, _BLOCK_ROWS), half.size]
-    for i, j in zip(edges[:-1], edges[1:]):
-        c_half[i:j] = np.exp(1j * np.outer(half[i:j], spectrum.omega_au)) @ wf
+    h = t_max_au / (half.size - 1)
+    rows = -(-half.size // _STEPS)
+    step_table = _expi(omega, np.arange(_STEPS) * h)
+    c_half = np.empty((rows, _STEPS), dtype=complex)
+    for i in range(0, rows, _BLOCK_ROWS):
+        block = _expi(np.arange(i, min(i + _BLOCK_ROWS, rows)) * (_STEPS * h), omega)
+        block *= wf
+        np.matmul(block, step_table, out=c_half[i:i + _BLOCK_ROWS])
+    # freed before the outputs are allocated, so they leave no hole below them
+    del step_table, block
+    c_half = c_half.ravel()[:half.size]
     t = np.concatenate((-half[:0:-1], half))
     c = np.concatenate((np.conj(c_half[:0:-1]), c_half))
     return CorrelationSeries(t_au=t, values=c / c0)
+
+
+def _expi(x, y):
+    """The matrix e^{i x_r y_c}, exponentiated in place."""
+    out = np.zeros((x.size, y.size), dtype=complex)
+    np.outer(x, y, out=out.imag)
+    return np.exp(out, out=out)
 
 
 @dataclass(frozen=True)
@@ -393,7 +414,7 @@ _C_ATOL = 1e-13
 _FIRST_LEVEL = 32
 
 
-def _levels(delta_eg_au: float, t_max_au: float | None) -> list[int]:
+def _levels(delta_eg_au: float, t_max_au: float | None, path: str = "") -> list[int]:
     """The grid sizes ``sized_spectrum`` may try: 32, 64, ... up to
     ``_MAX_N_POINTS``, from the first that passes the quarter-period guard of
     ``correlation_function`` at ``t_max_au`` (from 32 without a time grid).
@@ -403,7 +424,8 @@ def _levels(delta_eg_au: float, t_max_au: float | None) -> list[int]:
     limit lies above that bound by 0.05% at n = 32 and by less at larger n.
     Raises ``ValueError`` when no level passes the guard, and
     ``SpectrumConvergenceError`` when only one does, since then no two levels
-    can agree.  Needs no numpy, so both fail before any rule is built.
+    can agree; ``path`` prefixes ``t_max_au`` in both messages.  Needs no
+    numpy, so both fail before any rule is built.
     """
     need = delta_eg_au * t_max_au - 0.5 if t_max_au is not None else 0.0
     levels, n = [], _FIRST_LEVEL
@@ -413,13 +435,13 @@ def _levels(delta_eg_au: float, t_max_au: float | None) -> list[int]:
         n *= 2
     if not levels:
         raise ValueError(
-            f"t_max_au = {t_max_au:g} needs more than {_MAX_N_POINTS} frequency "
+            f"{path}t_max_au = {t_max_au:g} needs more than {_MAX_N_POINTS} frequency "
             f"nodes to pass the quarter-period guard; the largest t_max_au the "
             f"sized grid resolves is {(_MAX_N_POINTS + 0.5) / delta_eg_au:.4g}"
         )
     if len(levels) < 2:
         raise SpectrumConvergenceError(
-            f"t_max_au = {t_max_au:g} needs {levels[0]} frequency nodes, so the "
+            f"{path}t_max_au = {t_max_au:g} needs {levels[0]} frequency nodes, so the "
             f"grid cannot be sized by comparing two levels of at most "
             f"{_MAX_N_POINTS} nodes; set the number of nodes instead"
         )

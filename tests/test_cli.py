@@ -577,6 +577,7 @@ def test_config_paths_do_not_import_numpy(tmp_path):
            "t_max_au": {"spectrum": {"t_max_au": -40}},
            "nan-t_max_au": {"spectrum": {"t_max_au": math.nan}},
            "n_omega-over-cap": {"spectrum": {"n_omega": 8193}},
+           "t_max_au-unresolvable": {"spectrum": {"t_max_au": 1e5}},
            "scheme-value": {"schemes": {"scrap": {"intensity_wcm2": 0}}}}
     for name, scenario in bad.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(scenario))

@@ -11,6 +11,7 @@ from biphoton import spectrum as spc
 from biphoton.registry import species
 from biphoton.spectrum import (
     _BLOCK_ROWS,
+    _STEPS,
     PoleChain,
     PoleInGridError,
     SpectrumConvergenceError,
@@ -81,10 +82,14 @@ class TestCorrelation:
         np.testing.assert_array_equal(series.t_au, -series.t_au[::-1])
         np.testing.assert_array_equal(series.values, np.conj(series.values[::-1]))
 
-    # half grids of B-1, B, B+1 and 2B+1 rows for blocks of B rows, and the
-    # two-row half grid of n_t = 2 and 3
-    @pytest.mark.parametrize("n_t", [2, 3, 2 * _BLOCK_ROWS - 4, 2 * _BLOCK_ROWS - 2,
-                                     2 * _BLOCK_ROWS, 4 * _BLOCK_ROWS])
+    # half grids of (n_t | 1)//2 + 1 points: the two points of n_t = 2 and 3,
+    # grids shorter than one row of _STEPS points, grids that end one point
+    # before, on and one point after a row, and grids that fill _BLOCK_ROWS
+    # rows exactly or spill one point into the next block
+    @pytest.mark.parametrize("n_t", [2, 3, 60, 62, 64,
+                                     2 * _STEPS - 4, 2 * _STEPS - 2, 2 * _STEPS,
+                                     2 * _STEPS * _BLOCK_ROWS - 2,
+                                     2 * _STEPS * _BLOCK_ROWS])
     def test_block_boundaries_match_direct_transform(self, n_t):
         t_max = 7.3
         spec = spectral_amplitude(provider_pole(HE), n_points=64)
@@ -96,11 +101,18 @@ class TestCorrelation:
         # values there carry an absolute error of about an ulp of t_max
         np.testing.assert_allclose(series.t_au, np.linspace(-t_max, t_max, n_t | 1),
                                    rtol=1e-15, atol=1e-15 * t_max)
-        # bit for bit: a block of one row would take another BLAS path and
-        # move the last bit of that row
-        wf = spec.weights_au * spec.amplitude
-        direct = np.exp(1j * np.outer(series.t_au, spec.omega_au)) @ wf / np.sum(wf)
-        np.testing.assert_array_equal(series.values, direct)
+        # the direct transform, sum_j w_j f_j e^{i w_j t} / sum_j w_j f_j on
+        # the float nodes, weights and times, summed to 30 digits
+        with mpmath.workdps(30):
+            omega = [mpmath.mpf(w) for w in spec.omega_au]
+            wf = [mpmath.mpf(w) * mpmath.mpf(f)
+                  for w, f in zip(spec.weights_au, spec.amplitude)]
+            c0 = mpmath.fsum(wf)
+            oracle = np.array([complex(mpmath.fdot(wf, [mpmath.expj(w * mpmath.mpf(t))
+                                                         for w in omega]) / c0)
+                               for t in series.t_au[m:]])
+        oracle = np.concatenate((np.conj(oracle[:0:-1]), oracle))
+        assert float(np.max(np.abs(series.values - oracle))) <= 2e-15
 
     def test_memory_does_not_grow_with_n_t(self):
         """A 65537 x 512 transform, 537 MB as one complex matrix, runs in
